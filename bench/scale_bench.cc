@@ -5,7 +5,7 @@
 // numbers DESIGN.md §5g promises:
 //
 //   1. container — generation + save time, container bytes, and bytes/edge
-//      of the loaded CompactCkg against the analytic int64 `Ckg` layout
+//      of the loaded `Ckg` against an analytic all-int64 CSR layout
 //      ((n+1)*8 row-pointer bytes + E*16 edge bytes). The compact layout
 //      staying at or under 40% of the int64 footprint is a HARD CHECK; the
 //      int64 baseline itself is never materialized (at this scale it would
@@ -39,7 +39,6 @@
 #include "data/dataset.h"
 #include "ppr/ppr.h"
 #include "serve/rec_server.h"
-#include "store/compact_ckg.h"
 #include "store/container.h"
 #include "store/web_scale.h"
 #include "util/clock.h"
@@ -179,7 +178,7 @@ int Run(const std::string& json_path, bool reduced) {
 
   // Phase 2a: full read — bounded range reads, every section verified.
   {
-    CompactCkg full;
+    Ckg full;
     Stopwatch watch;
     StoreLoadOptions options;
     options.use_mmap = false;
@@ -189,7 +188,7 @@ int Run(const std::string& json_path, bool reduced) {
 
   // Phase 2b: zero-copy mmap load, checksums deferred to lazy paging — the
   // serving-restart fast path. This graph backs the rest of the benchmark.
-  CompactCkg graph;
+  Ckg graph;
   {
     Stopwatch watch;
     StoreLoadOptions options;

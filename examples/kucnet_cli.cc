@@ -609,7 +609,7 @@ int CmdWebScale(const std::map<std::string, std::string>& flags) {
 
   // Reload the container through the mmap path and verify it end to end:
   // the round trip, not the in-memory graph, is what the command certifies.
-  CompactCkg graph;
+  Ckg graph;
   StoreLoadStats load_stats;
   Stopwatch load_timer;
   StoreLoadOptions load_options;

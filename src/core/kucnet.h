@@ -84,9 +84,8 @@ struct KucnetForwardWork {
 class Kucnet : public RankModel {
  public:
   /// `ppr` may be null unless options.prune == kPpr. All pointers must
-  /// outlive the model. `ckg` accepts `const Ckg*` (implicit, the historical
-  /// call sites) or any GraphRef, including over the compact store graph.
-  Kucnet(const Dataset* dataset, GraphRef ckg, const PprTable* ppr,
+  /// outlive the model.
+  Kucnet(const Dataset* dataset, const Ckg* ckg, const PprTable* ppr,
          KucnetOptions options);
 
   std::string name() const override;
@@ -212,7 +211,7 @@ class Kucnet : public RankModel {
   Var Activate(Tape& tape, Var x) const;
 
   const Dataset* dataset_;
-  GraphRef ckg_;
+  const Ckg* ckg_;
   const PprTable* ppr_;
   KucnetOptions options_;
   CompGraphBuilder builder_;

@@ -61,9 +61,9 @@ UserCompGraph FromLayeredEdges(
   return graph;
 }
 
-CompGraphBuilder::CompGraphBuilder(GraphRef graph, CompGraphOptions options)
-    : graph_(graph), options_(options) {
-  KUC_CHECK(graph.valid());
+CompGraphBuilder::CompGraphBuilder(const Ckg* ckg, CompGraphOptions options)
+    : ckg_(ckg), options_(options) {
+  KUC_CHECK(ckg != nullptr);
   KUC_CHECK_GE(options.depth, 1);
   KUC_CHECK_GE(options.max_edges_per_node, 0);
 }
@@ -78,17 +78,13 @@ UserCompGraph CompGraphBuilder::Build(
   return graph;
 }
 
-namespace {
-
-// The expansion loop, compiled once per graph representation (the Ckg
-// instantiation is the pre-store code, bit for bit). Dispatched from
-// CompGraphBuilder::TryBuild via GraphRef::Visit.
-template <typename Graph>
-Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
-                    int64_t user_node, const NodeScoreFn* score, Rng* rng,
-                    const std::vector<ExcludedPair>& excluded,
-                    const ExecContext& ctx, UserCompGraph* out) {
+Status CompGraphBuilder::TryBuild(int64_t user_node, const NodeScoreFn* score,
+                                  Rng* rng,
+                                  const std::vector<ExcludedPair>& excluded,
+                                  const ExecContext& ctx,
+                                  UserCompGraph* out) const {
   KUC_TRACE_SPAN("compgraph.build");
+  const Ckg& ckg = *ckg_;
   KUC_CHECK_GE(user_node, 0);
   KUC_CHECK_LT(user_node, ckg.num_nodes());
   const int64_t k_limit = options_.max_edges_per_node;
@@ -106,7 +102,7 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
     excluded_set.insert(PackPair(pair.user_node, pair.item_node));
     excluded_set.insert(PackPair(pair.item_node, pair.user_node));
   }
-  const int64_t interact = Graph::kInteractRelation;
+  const int64_t interact = Ckg::kInteractRelation;
   const int64_t interact_inv = ckg.InverseRelation(interact);
   auto is_excluded = [&](int64_t src, int64_t rel, int64_t dst) {
     if (excluded_set.empty()) return false;
@@ -193,19 +189,6 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
     graph.final_index.emplace(prev_nodes[i], static_cast<int64_t>(i));
   }
   return Status::Ok();
-}
-
-}  // namespace
-
-Status CompGraphBuilder::TryBuild(int64_t user_node, const NodeScoreFn* score,
-                                  Rng* rng,
-                                  const std::vector<ExcludedPair>& excluded,
-                                  const ExecContext& ctx,
-                                  UserCompGraph* out) const {
-  return graph_.Visit([&](const auto& ckg) {
-    return TryBuildImpl(ckg, options_, user_node, score, rng, excluded, ctx,
-                        out);
-  });
 }
 
 }  // namespace kucnet

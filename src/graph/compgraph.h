@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/ckg.h"
-#include "graph/graph_ref.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -94,13 +93,11 @@ struct ExcludedPair {
 UserCompGraph FromLayeredEdges(
     const std::vector<std::vector<Edge>>& layers, int64_t user_node);
 
-/// Builds pruned user-centric computation graphs over a CKG. Works on either
-/// graph representation: construct from `const Ckg*` (implicit, the historical
-/// call sites) or any `GraphRef`; the expansion loop is a template
-/// instantiated per representation, dispatched once per Build call.
+/// Builds pruned user-centric computation graphs over a CKG.
 class CompGraphBuilder {
  public:
-  CompGraphBuilder(GraphRef graph, CompGraphOptions options);
+  /// `ckg` must outlive the builder.
+  CompGraphBuilder(const Ckg* ckg, CompGraphOptions options);
 
   const CompGraphOptions& options() const { return options_; }
 
@@ -122,7 +119,7 @@ class CompGraphBuilder {
                   const ExecContext& ctx, UserCompGraph* out) const;
 
  private:
-  GraphRef graph_;
+  const Ckg* ckg_;
   CompGraphOptions options_;
 };
 

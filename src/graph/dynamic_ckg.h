@@ -13,7 +13,7 @@
 ///
 /// The streaming scenario needs online edge insertions, but the CSR layout
 /// of Ckg is immutable by design (and everything downstream — PPR push,
-/// CompGraph extraction — iterates its spans). BasicDynamicCkg keeps the
+/// CompGraph extraction — iterates its spans). DynamicCkg keeps the
 /// base graph untouched and stores inserted edges in a per-node overflow
 /// list, so:
 ///
@@ -32,37 +32,21 @@
 /// Build over initial + appended inputs — agrees with the overlay on
 /// every degree and neighbor multiset. Rebuild is the recompute oracle's
 /// entry point; it is deliberately O(edges).
-///
-/// The class is a template over the base representation: `DynamicCkg`
-/// (= BasicDynamicCkg<Ckg>) is the historical int64 overlay, and
-/// BasicDynamicCkg<CompactCkg> overlays the typed 32/16-bit store graph
-/// (store/compact_ckg.h). Member definitions live in dynamic_ckg.cc with
-/// explicit instantiations for both; the Ckg instantiation is the pre-store
-/// code, bit for bit.
 
 namespace kucnet {
 
-template <typename Graph>
-class BasicDynamicCkg {
+class DynamicCkg {
  public:
   /// Mirrors Ckg::Build; the initial lists seed the immutable base.
-  BasicDynamicCkg(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
-                  int64_t num_kg_relations,
-                  std::vector<std::array<int64_t, 2>> interactions,
-                  std::vector<std::array<int64_t, 3>> kg_triplets,
-                  std::vector<std::array<int64_t, 3>> user_triplets = {});
-
-  /// Wraps an already-built base graph plus the inputs that produced it
-  /// (kept for Rebuild()). The store path uses this to overlay a
-  /// container-loaded CompactCkg without re-running assembly.
-  BasicDynamicCkg(Graph base,
-                  std::vector<std::array<int64_t, 2>> interactions,
-                  std::vector<std::array<int64_t, 3>> kg_triplets,
-                  std::vector<std::array<int64_t, 3>> user_triplets = {});
+  DynamicCkg(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
+             int64_t num_kg_relations,
+             std::vector<std::array<int64_t, 2>> interactions,
+             std::vector<std::array<int64_t, 3>> kg_triplets,
+             std::vector<std::array<int64_t, 3>> user_triplets = {});
 
   // ---- Sizes / id mapping (fixed at construction) ---------------------------
 
-  const Graph& base() const { return base_; }
+  const Ckg& base() const { return base_; }
   int64_t num_users() const { return base_.num_users(); }
   int64_t num_items() const { return base_.num_items(); }
   int64_t num_kg_nodes() const { return base_.num_kg_nodes(); }
@@ -127,10 +111,10 @@ class BasicDynamicCkg {
   /// CSR row, overflow via linear scan).
   bool HasEdge(int64_t src, int64_t rel, int64_t dst) const;
 
-  /// From-scratch Graph::Build over initial + appended inputs. The recompute
+  /// From-scratch Ckg::Build over initial + appended inputs. The recompute
   /// oracle's graph; agrees with this overlay on every degree and neighbor
   /// multiset (though not iteration order — CSR rows are re-sorted).
-  Graph Rebuild() const;
+  Ckg Rebuild() const;
 
  private:
   // One directed labeled edge in a node's overflow list.
@@ -139,7 +123,7 @@ class BasicDynamicCkg {
   void InsertDirected(int64_t src, int64_t rel, int64_t dst,
                       std::vector<Edge>* inserted);
 
-  Graph base_;
+  Ckg base_;
   std::vector<std::vector<OverflowEdge>> overflow_;  // indexed by node
   int64_t overflow_edges_ = 0;
   // Inputs accumulated for Rebuild().
@@ -147,9 +131,6 @@ class BasicDynamicCkg {
   std::vector<std::array<int64_t, 3>> kg_triplets_;
   std::vector<std::array<int64_t, 3>> user_triplets_;
 };
-
-/// The historical int64 dynamic overlay; every pre-store call site.
-using DynamicCkg = BasicDynamicCkg<Ckg>;
 
 }  // namespace kucnet
 

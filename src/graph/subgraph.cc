@@ -5,13 +5,11 @@
 #include <unordered_set>
 
 #include "obs/trace.h"
-#include "store/compact_ckg.h"
 #include "util/logging.h"
 
 namespace kucnet {
 
-template <typename Graph>
-std::vector<int32_t> BfsDistances(const Graph& ckg, int64_t source,
+std::vector<int32_t> BfsDistances(const Ckg& ckg, int64_t source,
                                   int32_t max_depth) {
   std::vector<int32_t> dist;
   const Status status =
@@ -20,8 +18,7 @@ std::vector<int32_t> BfsDistances(const Graph& ckg, int64_t source,
   return dist;
 }
 
-template <typename Graph>
-Status TryBfsDistances(const Graph& ckg, int64_t source, int32_t max_depth,
+Status TryBfsDistances(const Ckg& ckg, int64_t source, int32_t max_depth,
                        const ExecContext& ctx, std::vector<int32_t>* out) {
   KUC_TRACE_SPAN("subgraph.bfs");
   KUC_CHECK_GE(source, 0);
@@ -52,8 +49,7 @@ Status TryBfsDistances(const Graph& ckg, int64_t source, int32_t max_depth,
   return Status::Ok();
 }
 
-template <typename Graph>
-UiSubgraph ExtractUiSubgraph(const Graph& ckg, int64_t user_node,
+UiSubgraph ExtractUiSubgraph(const Ckg& ckg, int64_t user_node,
                              int64_t item_node, int32_t depth) {
   const auto du = BfsDistances(ckg, user_node, depth);
   const auto di = BfsDistances(ckg, item_node, depth);
@@ -81,8 +77,7 @@ int64_t LayeredEdges::TotalEdges() const {
   return total;
 }
 
-template <typename Graph>
-LayeredEdges ExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
+LayeredEdges ExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,
                                        int64_t item_node, int32_t depth) {
   LayeredEdges out;
   const Status status = TryExtractUiComputationGraph(
@@ -91,8 +86,7 @@ LayeredEdges ExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
   return out;
 }
 
-template <typename Graph>
-Status TryExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
+Status TryExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,
                                     int64_t item_node, int32_t depth,
                                     const ExecContext& ctx, LayeredEdges* out) {
   KUC_TRACE_SPAN("subgraph.extract");
@@ -131,32 +125,5 @@ Status TryExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
   }
   return Status::Ok();
 }
-
-// The BFS/extraction hot paths are compiled here once per graph
-// representation; the Ckg instantiation is the pre-store code, bit for bit.
-template std::vector<int32_t> BfsDistances<Ckg>(const Ckg&, int64_t, int32_t);
-template std::vector<int32_t> BfsDistances<CompactCkg>(const CompactCkg&,
-                                                       int64_t, int32_t);
-template Status TryBfsDistances<Ckg>(const Ckg&, int64_t, int32_t,
-                                     const ExecContext&,
-                                     std::vector<int32_t>*);
-template Status TryBfsDistances<CompactCkg>(const CompactCkg&, int64_t,
-                                            int32_t, const ExecContext&,
-                                            std::vector<int32_t>*);
-template UiSubgraph ExtractUiSubgraph<Ckg>(const Ckg&, int64_t, int64_t,
-                                           int32_t);
-template UiSubgraph ExtractUiSubgraph<CompactCkg>(const CompactCkg&, int64_t,
-                                                  int64_t, int32_t);
-template LayeredEdges ExtractUiComputationGraph<Ckg>(const Ckg&, int64_t,
-                                                     int64_t, int32_t);
-template LayeredEdges ExtractUiComputationGraph<CompactCkg>(const CompactCkg&,
-                                                            int64_t, int64_t,
-                                                            int32_t);
-template Status TryExtractUiComputationGraph<Ckg>(const Ckg&, int64_t, int64_t,
-                                                  int32_t, const ExecContext&,
-                                                  LayeredEdges*);
-template Status TryExtractUiComputationGraph<CompactCkg>(
-    const CompactCkg&, int64_t, int64_t, int32_t, const ExecContext&,
-    LayeredEdges*);
 
 }  // namespace kucnet

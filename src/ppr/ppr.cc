@@ -3,7 +3,6 @@
 #include <deque>
 
 #include "obs/metrics.h"
-#include "store/compact_ckg.h"
 #include "obs/trace.h"
 #include "util/clock.h"
 #include "util/finite.h"
@@ -29,8 +28,7 @@ std::vector<real_t> PprPowerIteration(const SparseMatrix& column_normalized_adj,
   return r;
 }
 
-template <typename Graph>
-std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
+std::unordered_map<int64_t, real_t> PprForwardPush(const Ckg& ckg,
                                                    int64_t source, real_t alpha,
                                                    real_t epsilon) {
   std::unordered_map<int64_t, real_t> estimate;
@@ -40,8 +38,7 @@ std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
   return estimate;
 }
 
-template <typename Graph>
-Status TryPprForwardPush(const Graph& ckg, int64_t source, real_t alpha,
+Status TryPprForwardPush(const Ckg& ckg, int64_t source, real_t alpha,
                          real_t epsilon, const ExecContext& ctx,
                          std::unordered_map<int64_t, real_t>* out) {
   KUC_TRACE_SPAN("ppr.push");
@@ -104,8 +101,7 @@ Status TryPprForwardPush(const Graph& ckg, int64_t source, real_t alpha,
   return Status::Ok();
 }
 
-template <typename Graph>
-PprTable PprTable::Compute(const Graph& ckg, PprTableOptions options,
+PprTable PprTable::Compute(const Ckg& ckg, PprTableOptions options,
                            ThreadPool* pool) {
   KUC_TRACE_SPAN("ppr.table_compute");
   Stopwatch timer;
@@ -123,23 +119,6 @@ PprTable PprTable::Compute(const Graph& ckg, PprTableOptions options,
   table.compute_seconds_ = timer.Seconds();
   return table;
 }
-
-// The hot push paths are compiled here once per graph representation; the
-// Ckg instantiation is the pre-store code, bit for bit.
-template std::unordered_map<int64_t, real_t> PprForwardPush<Ckg>(
-    const Ckg&, int64_t, real_t, real_t);
-template std::unordered_map<int64_t, real_t> PprForwardPush<CompactCkg>(
-    const CompactCkg&, int64_t, real_t, real_t);
-template Status TryPprForwardPush<Ckg>(const Ckg&, int64_t, real_t, real_t,
-                                       const ExecContext&,
-                                       std::unordered_map<int64_t, real_t>*);
-template Status TryPprForwardPush<CompactCkg>(
-    const CompactCkg&, int64_t, real_t, real_t, const ExecContext&,
-    std::unordered_map<int64_t, real_t>*);
-template PprTable PprTable::Compute<Ckg>(const Ckg&, PprTableOptions,
-                                         ThreadPool*);
-template PprTable PprTable::Compute<CompactCkg>(const CompactCkg&,
-                                                PprTableOptions, ThreadPool*);
 
 PprTable PprTable::FromVectors(
     std::vector<std::unordered_map<int64_t, real_t>> vectors) {

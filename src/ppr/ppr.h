@@ -33,11 +33,7 @@ std::vector<real_t> PprPowerIteration(const SparseMatrix& column_normalized_adj,
 /// Sparse PPR by forward push with per-node residual threshold
 /// `epsilon * degree(v)`. Returns only nonzero estimates. The estimate
 /// undershoots the true PPR by at most epsilon * degree summed over nodes.
-/// Works on any graph exposing the Ckg span API; instantiated in ppr.cc for
-/// `Ckg` and `CompactCkg` (the Ckg instantiation is the exact code that
-/// predates the compact store, so the int64 path is bitwise identical).
-template <typename Graph>
-std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
+std::unordered_map<int64_t, real_t> PprForwardPush(const Ckg& ckg,
                                                    int64_t source,
                                                    real_t alpha = 0.15,
                                                    real_t epsilon = 1e-6);
@@ -46,9 +42,7 @@ std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
 /// `kPprCheckEveryPushes` queue pops, so a request deadline or injected
 /// fault abandons the walk mid-push instead of running to convergence. On
 /// cancellation `*out` is cleared and the checkpoint's status is returned.
-/// Instantiated for `Ckg` and `CompactCkg` (see PprForwardPush).
-template <typename Graph>
-Status TryPprForwardPush(const Graph& ckg, int64_t source, real_t alpha,
+Status TryPprForwardPush(const Ckg& ckg, int64_t source, real_t alpha,
                          real_t epsilon, const ExecContext& ctx,
                          std::unordered_map<int64_t, real_t>* out);
 
@@ -66,9 +60,7 @@ struct PprTableOptions {
 class PprTable {
  public:
   /// Computes vectors for all users, in parallel when a pool is given.
-  /// Instantiated for `Ckg` and `CompactCkg` (see PprForwardPush).
-  template <typename Graph>
-  static PprTable Compute(const Graph& ckg,
+  static PprTable Compute(const Ckg& ckg,
                           PprTableOptions options = PprTableOptions(),
                           ThreadPool* pool = nullptr);
 

@@ -70,7 +70,7 @@ const char* FleetPathName(FleetPath path) {
 }
 
 ShardRouter::ShardRouter(std::vector<Kucnet*> shard_models,
-                         const Dataset* dataset, GraphRef ckg,
+                         const Dataset* dataset, const Ckg* ckg,
                          const PprTable* ppr, ShardRouterOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : &RealClock()),

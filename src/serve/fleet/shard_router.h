@@ -173,7 +173,7 @@ struct FleetStats {
 class ShardRouter {
  public:
   ShardRouter(std::vector<Kucnet*> shard_models, const Dataset* dataset,
-              GraphRef ckg, const PprTable* ppr,
+              const Ckg* ckg, const PprTable* ppr,
               ShardRouterOptions options);
   ~ShardRouter();
 

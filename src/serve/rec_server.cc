@@ -66,6 +66,7 @@ void ServerStats::MergeFrom(const ServerStats& other) {
   cache_warmed = obs::SaturatingAdd(cache_warmed, other.cache_warmed);
   degraded = obs::SaturatingAdd(degraded, other.degraded);
   no_ppr_user = obs::SaturatingAdd(no_ppr_user, other.no_ppr_user);
+  unknown_user = obs::SaturatingAdd(unknown_user, other.unknown_user);
   forward_batches = obs::SaturatingAdd(forward_batches, other.forward_batches);
   batched_requests =
       obs::SaturatingAdd(batched_requests, other.batched_requests);
@@ -80,7 +81,7 @@ void ServerStats::MergeFrom(const ServerStats& other) {
 }
 
 RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
-                     GraphRef ckg, const PprTable* ppr,
+                     const Ckg* ckg, const PprTable* ppr,
                      RecServerOptions options)
     : model_(model),
       dataset_(dataset),
@@ -92,7 +93,7 @@ RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
       train_items_(dataset->TrainItemsByUser()) {
   KUC_CHECK(model != nullptr);
   KUC_CHECK(dataset != nullptr);
-  KUC_CHECK(ckg.valid());
+  KUC_CHECK(ckg != nullptr);
   KUC_CHECK(ppr != nullptr);
   KUC_CHECK_GT(dataset->num_items, 0) << "cannot serve an empty catalogue";
   KUC_CHECK_GE(options_.num_workers, 0);
@@ -156,10 +157,12 @@ std::future<RecResponse> RecServer::Submit(const RecRequest& request) {
       return ReadyResponse(std::move(response));
     }
   }
-  if (pipeline_ == nullptr) {
+  if (pipeline_ == nullptr || !KnownUser(request.user)) {
     // Zero workers: serve inline on the calling thread. The pre-pipeline
     // server enqueued a Pending here that no worker would ever pop, so the
     // caller's future.get() hung until the destructor broke the promise.
+    // An unknown user is answered inline too (Handle), before any stage
+    // indexes per-user state with its id.
     {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.admitted;
@@ -428,7 +431,7 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
         request.user < ppr_->num_users()) {
       std::vector<double> scores(dataset_->num_items, 0.0);
       for (int64_t item = 0; item < dataset_->num_items; ++item) {
-        scores[item] = ppr_->Score(request.user, ckg_.ItemNode(item));
+        scores[item] = ppr_->Score(request.user, ckg_->ItemNode(item));
       }
       if (RankInto(request.user, scores, job->top_n, &job->response)) {
         job->served = true;
@@ -452,40 +455,47 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
   }
 
   // ---- Tier 4: global popularity (infallible) ------------------------------
-  if (!job->served) {
-    KUC_TRACE_SPAN("serve.popularity");
-    const int64_t t0 = clock_->NowMicros();
-    // The checkpoint still fires (tests can arm it and see it counted), but
-    // the precomputed ranking is returned regardless: the last tier never
-    // fails, so no admitted request ever gets an empty response.
-    const Status status = job->fallback_ctx.Check("popularity");
-    if (!status.ok()) NoteFailure(job, "popularity", status);
-    const std::vector<int64_t>* exclude =
-        options_.exclude_train_items &&
-                request.user >= 0 &&
-                request.user < static_cast<int64_t>(train_items_.size())
-            ? &train_items_[request.user]
-            : nullptr;
-    RecResponse& response = job->response;
-    response.items.clear();
+  if (!job->served) ServePopularity(job);
+}
+
+void RecServer::ServePopularity(ServeJob* job) {
+  KUC_TRACE_SPAN("serve.popularity");
+  const RecRequest& request = job->request;
+  const int64_t t0 = clock_->NowMicros();
+  // The checkpoint still fires (tests can arm it and see it counted), but
+  // the precomputed ranking is returned regardless: the last tier never
+  // fails, so no admitted request ever gets an empty response.
+  const Status status = job->fallback_ctx.Check("popularity");
+  if (!status.ok()) NoteFailure(job, "popularity", status);
+  const std::vector<int64_t>* exclude =
+      options_.exclude_train_items &&
+              request.user >= 0 &&
+              request.user < static_cast<int64_t>(train_items_.size())
+          ? &train_items_[request.user]
+          : nullptr;
+  RecResponse& response = job->response;
+  response.items.clear();
+  for (const ScoredItem& candidate : popularity_) {
+    if (static_cast<int64_t>(response.items.size()) >= job->top_n) break;
+    if (exclude != nullptr &&
+        std::binary_search(exclude->begin(), exclude->end(),
+                           candidate.item)) {
+      continue;
+    }
+    response.items.push_back(candidate);
+  }
+  if (response.items.empty()) {
     for (const ScoredItem& candidate : popularity_) {
       if (static_cast<int64_t>(response.items.size()) >= job->top_n) break;
-      if (exclude != nullptr &&
-          std::binary_search(exclude->begin(), exclude->end(),
-                             candidate.item)) {
-        continue;
-      }
       response.items.push_back(candidate);
     }
-    if (response.items.empty()) {
-      for (const ScoredItem& candidate : popularity_) {
-        if (static_cast<int64_t>(response.items.size()) >= job->top_n) break;
-        response.items.push_back(candidate);
-      }
-    }
-    response.tier = ServeTier::kPopularity;
-    TimeStage(job, "popularity", t0);
   }
+  response.tier = ServeTier::kPopularity;
+  TimeStage(job, "popularity", t0);
+}
+
+bool RecServer::KnownUser(int64_t user) const {
+  return user >= 0 && user < ckg_->num_users();
 }
 
 RecResponse RecServer::FinalizeJob(ServeJob* job) {
@@ -504,6 +514,7 @@ RecResponse RecServer::FinalizeJob(ServeJob* job) {
     stats_.fault_events += job->fault_events;
     stats_.nonfinite_scores += job->nonfinite;
     stats_.no_ppr_user += job->no_ppr_user;
+    stats_.unknown_user += job->unknown_user;
     stats_.latency.Record(response.total_micros);
   }
   KUC_OBS_COUNT("serve.completed", 1);
@@ -525,6 +536,19 @@ RecResponse RecServer::Handle(const RecRequest& request,
   job.request = request;
   job.submit_micros = submit_micros;
   BeginJob(&job);
+
+  if (!KnownUser(request.user)) {
+    // The id comes from outside the program, and the full, cached and
+    // heuristic tiers all index per-user state with it.
+    ++job.unknown_user;
+    KUC_OBS_COUNT("serve.degrade.unknown_user", 1);
+    job.response.degrade_reason = "admission: user " +
+                                  std::to_string(request.user) +
+                                  " unknown (graph has " +
+                                  std::to_string(ckg_->num_users()) + " users)";
+    ServePopularity(&job);
+    return FinalizeJob(&job);
+  }
 
   // ---- Tier 1: full KUCNet forward -----------------------------------------
   {

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/kucnet.h"
+// Compatibility shim for benchmark/ only; no library code uses it.
+#include "graph/graph_ref.h"
 #include "obs/metrics.h"
 #include "serve/score_cache.h"
 #include "util/clock.h"
@@ -140,6 +142,11 @@ struct ServerStats {
   /// the PPR table (possible once streaming adds users past it); the request
   /// fell through to popularity with the reason noted.
   int64_t no_ppr_user = 0;
+  /// Requests naming a user id outside [0, num_users) of the graph. They are
+  /// answered at admission from the popularity tier, with the reason noted:
+  /// the id comes from outside the program, and every other tier indexes
+  /// per-user state with it.
+  int64_t unknown_user = 0;
   /// Batched full-tier forward executions (pipeline batch stage).
   int64_t forward_batches = 0;
   /// Requests whose full-tier forward ran inside a batch.
@@ -223,6 +230,7 @@ struct ServeJob {
   int64_t fault_events = 0;
   int64_t nonfinite = 0;
   int64_t no_ppr_user = 0;
+  int64_t unknown_user = 0;
   int64_t full_t0 = 0;  ///< full-tier start; timed when the tier finishes
   bool full_pre_expired = false;  ///< deadline died before extraction began
   /// Batch stage skipped this job's forward because the predicted cost
@@ -243,7 +251,7 @@ class ServePipeline;
 /// split halves) are const and thread-safe for inference.
 class RecServer {
  public:
-  RecServer(const Kucnet* model, const Dataset* dataset, GraphRef ckg,
+  RecServer(const Kucnet* model, const Dataset* dataset, const Ckg* ckg,
             const PprTable* ppr, RecServerOptions options);
   ~RecServer();
 
@@ -260,6 +268,9 @@ class RecServer {
   /// Runs the full degradation pipeline on the calling thread, bypassing
   /// the queue (no admission control, no batching). Used by tests that need
   /// strict single-threaded determinism and by benchmark warmup.
+  ///
+  /// Here and in Submit, an unknown user id (outside [0, num_users)) gets a
+  /// kOk popularity answer at once (ServerStats::unknown_user).
   RecResponse ServeSync(const RecRequest& request);
 
   /// Rejects new submissions, drains queued requests through every stage,
@@ -320,6 +331,10 @@ class RecServer {
   void FinishFullTier(ServeJob* job);
   /// Tiers 2-4 (cached → heuristic → popularity). No-op when already served.
   void RunFallbackTiers(ServeJob* job);
+  /// Tier 4: the precomputed popularity ranking (infallible).
+  void ServePopularity(ServeJob* job);
+  /// True iff `user` names a user node of the graph.
+  bool KnownUser(int64_t user) const;
   /// Stats, counters, latency; returns the finished response.
   RecResponse FinalizeJob(ServeJob* job);
   void NoteFailure(ServeJob* job, const char* tier,
@@ -339,7 +354,7 @@ class RecServer {
 
   const Kucnet* model_;
   const Dataset* dataset_;
-  GraphRef ckg_;
+  const Ckg* ckg_;
   const PprTable* ppr_;
   RecServerOptions options_;
   const Clock* clock_;

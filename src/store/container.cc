@@ -39,7 +39,7 @@ struct SectionEntry {
   uint64_t length = 0;
 };
 
-std::string EncodeMeta(const CompactCkg& g) {
+std::string EncodeMeta(const Ckg& g) {
   ByteWriter w;
   w.I64(g.num_users());
   w.I64(g.num_items());
@@ -72,9 +72,9 @@ Status DecodeMeta(const std::string& path, const char* data, uint64_t length,
   }
   if (meta->num_users < 0 || meta->num_items < 0 ||
       meta->num_kg_nodes < meta->num_items || meta->num_kg_relations < 0 ||
-      meta->num_edges < 0 || meta->num_nodes() > CompactCkg::kMaxNodes ||
-      meta->num_edges > CompactCkg::kMaxEdges ||
-      2 * (1 + meta->num_kg_relations) > CompactCkg::kMaxRelations) {
+      meta->num_edges < 0 || meta->num_nodes() > Ckg::kMaxNodes ||
+      meta->num_edges > Ckg::kMaxEdges ||
+      2 * (1 + meta->num_kg_relations) > Ckg::kMaxRelations) {
     return KUC_STORE_ERR(path) << "META sizes out of range (users="
                                << meta->num_users << " items="
                                << meta->num_items << " kg_nodes="
@@ -189,10 +189,32 @@ Status CheckRowPtr(const std::string& path, const uint32_t* row_ptr,
   return Status::Ok();
 }
 
+// Range-checks every edge's relation and destination. Checksums only prove
+// the sections are the bytes the writer produced; a file crafted with
+// out-of-range ids and recomputed footers passes them, and its ids would
+// then index node-sized arrays out of bounds in every graph algorithm.
+Status CheckEdgeIds(const std::string& path, const uint16_t* rel,
+                    const uint32_t* dst, const Meta& meta) {
+  const int64_t n = meta.num_nodes();
+  const int64_t num_rels = 2 * (1 + meta.num_kg_relations);
+  for (int64_t e = 0; e < meta.num_edges; ++e) {
+    if (int64_t{dst[e]} >= n) {
+      return KUC_STORE_ERR(path) << "DSTS[" << e << "] = " << dst[e]
+                                 << " out of range (nodes=" << n << ")";
+    }
+    if (int64_t{rel[e]} >= num_rels) {
+      return KUC_STORE_ERR(path) << "RELS[" << e << "] = " << rel[e]
+                                 << " out of range (relations=" << num_rels
+                                 << ")";
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status SaveCompactCkg(FileSystem& fs, const std::string& path,
-                      const CompactCkg& graph) {
+                      const Ckg& graph) {
   KUC_TRACE_SPAN("store.container_save");
   const auto row_ptr = graph.raw_row_ptr();
   const auto rel = graph.raw_rel();
@@ -256,7 +278,7 @@ Status SaveCompactCkg(FileSystem& fs, const std::string& path,
 }
 
 Status LoadCompactCkg(FileSystem& fs, const std::string& path,
-                      const StoreLoadOptions& options, CompactCkg* out,
+                      const StoreLoadOptions& options, Ckg* out,
                       StoreLoadStats* stats) {
   KUC_TRACE_SPAN("store.container_load");
   StoreLoadStats local_stats;
@@ -288,6 +310,10 @@ Status LoadCompactCkg(FileSystem& fs, const std::string& path,
     }
     const auto* row_ptr = reinterpret_cast<const uint32_t*>(base + rp.offset);
     KUC_RETURN_IF_ERROR(CheckRowPtr(path, row_ptr, meta));
+    const auto* rel = reinterpret_cast<const uint16_t*>(base +
+                                                        entries[2].offset);
+    const auto* dst = reinterpret_cast<const uint32_t*>(base +
+                                                        entries[3].offset);
     if (options.verify_checksums) {
       for (uint64_t s = 2; s < kSectionCount; ++s) {
         const SectionEntry& e = entries[s];
@@ -297,14 +323,11 @@ Status LoadCompactCkg(FileSystem& fs, const std::string& path,
                  << (s == 2 ? "RELS" : "DSTS") << " checksum mismatch";
         }
       }
+      KUC_RETURN_IF_ERROR(CheckEdgeIds(path, rel, dst, meta));
       st.sections_verified = true;
     }
     st.mmap_backed = mapping.is_mmap();
     st.file_bytes = size;
-    const auto* rel = reinterpret_cast<const uint16_t*>(base +
-                                                        entries[2].offset);
-    const auto* dst = reinterpret_cast<const uint32_t*>(base +
-                                                        entries[3].offset);
     out->AdoptMapped(meta.num_users, meta.num_items, meta.num_kg_nodes,
                      meta.num_kg_relations, meta.num_edges,
                      std::move(mapping), row_ptr, rel, dst);
@@ -359,20 +382,12 @@ Status LoadCompactCkg(FileSystem& fs, const std::string& path,
     std::unique_ptr<uint32_t[]> dst(new uint32_t[e > 0 ? e : 1]);
     std::memcpy(rel.get(), section[2].data(), entries[2].length);
     std::memcpy(dst.get(), section[3].data(), entries[3].length);
+    KUC_RETURN_IF_ERROR(CheckEdgeIds(path, rel.get(), dst.get(), meta));
     st.mmap_backed = false;
     st.file_bytes = size;
-    out->num_users_ = meta.num_users;
-    out->num_items_ = meta.num_items;
-    out->num_kg_nodes_ = meta.num_kg_nodes;
-    out->num_kg_relations_ = meta.num_kg_relations;
-    out->num_edges_ = meta.num_edges;
-    out->mapping_ = MappedFile();
-    out->row_ptr_store_ = std::move(row_ptr);
-    out->rel_store_ = std::move(rel);
-    out->dst_store_ = std::move(dst);
-    out->row_ptr_ = out->row_ptr_store_.get();
-    out->rel_ = out->rel_store_.get();
-    out->dst_ = out->dst_store_.get();
+    out->AdoptOwned(meta.num_users, meta.num_items, meta.num_kg_nodes,
+                    meta.num_kg_relations, meta.num_edges, std::move(row_ptr),
+                    std::move(rel), std::move(dst));
   }
 
   KUC_OBS_GAUGE_SET("store.bytes_resident", out->bytes_resident());

@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <string>
 
-#include "store/compact_ckg.h"
+#include "graph/ckg.h"
 #include "util/fs.h"
 #include "util/status.h"
 
 /// \file
-/// KUCSTOR1: the versioned, checksummed on-disk container for CompactCkg
+/// KUCSTOR1: the versioned, checksummed on-disk container for `Ckg`
 /// (DESIGN.md §5g).
 ///
 /// Layout (all integers host-endian, like checkpoints):
@@ -31,12 +31,15 @@
 /// Writes go through `AtomicWriteFile` (tmp + flush + rename), so a crashed
 /// write never leaves a half-container at the target path. Loads validate
 /// header, table, META and ROWPTR eagerly; the big edge sections are
-/// checksum-verified when `verify_checksums` is set (full reads always
-/// verify). A *lazy* mmap load (`verify_checksums = false`) is the fast
-/// path the scale bench measures: the kernel pages edges in on first touch
-/// and nothing scans the file up front — use it only on files this process
-/// (or its trusted pipeline) wrote. Every validation failure is a
-/// recoverable Status carrying source file:line and a cause, never a crash.
+/// checksum-verified and range-checked (every RELS id below
+/// `num_relations()`, every DSTS id below `num_nodes()`) when
+/// `verify_checksums` is set (full reads always verify). A *lazy* mmap load
+/// (`verify_checksums = false`) is the fast path the scale bench and the
+/// cold-start benchmark measure: the kernel pages edges in on first touch
+/// and nothing scans the file up front, so an out-of-range edge id in it
+/// goes unnoticed — use it only on files this process (or its trusted
+/// pipeline) wrote. Every validation failure is a recoverable Status
+/// carrying source file:line and a cause, never a crash.
 
 namespace kucnet {
 
@@ -49,30 +52,30 @@ struct StoreLoadOptions {
   /// owned arrays. Emulating filesystems hand back a heap copy through the
   /// same seam.
   bool use_mmap = true;
-  /// Verify the RELS/DSTS section checksums up front. Header, table, META
-  /// and ROWPTR are always verified. Full reads (use_mmap = false) always
-  /// verify everything regardless of this flag.
+  /// Verify the RELS/DSTS section checksums and edge-id ranges up front.
+  /// Header, table, META and ROWPTR are always verified. Full reads
+  /// (use_mmap = false) always verify everything regardless of this flag.
   bool verify_checksums = true;
 };
 
 /// What a load actually did (for benches and the obs gauges).
 struct StoreLoadStats {
   bool mmap_backed = false;       ///< arrays point into a real kernel mapping
-  bool sections_verified = false; ///< RELS/DSTS checksums were checked
+  bool sections_verified = false; ///< RELS/DSTS checksums and ids checked
   uint64_t file_bytes = 0;
 };
 
 /// Serializes `graph` into a KUCSTOR1 container at `path` via
 /// AtomicWriteFile.
 Status SaveCompactCkg(FileSystem& fs, const std::string& path,
-                      const CompactCkg& graph);
+                      const Ckg& graph);
 
 /// Loads a container written by SaveCompactCkg. On success `*out` either
 /// borrows the mapping (use_mmap) or owns freshly-read arrays. Emits the
 /// `store.bytes_resident` / `store.edges` / `store.mmap_hit` gauges and a
 /// `store.container_load` trace span.
 Status LoadCompactCkg(FileSystem& fs, const std::string& path,
-                      const StoreLoadOptions& options, CompactCkg* out,
+                      const StoreLoadOptions& options, Ckg* out,
                       StoreLoadStats* stats = nullptr);
 
 }  // namespace kucnet

@@ -19,7 +19,6 @@
 #include "serve/fleet/shard_fault.h"
 #include "serve/fleet/shard_router.h"
 #include "serve/rec_server.h"
-#include "store/compact_ckg.h"
 #include "store/container.h"
 #include "store/web_scale.h"
 #include "stream/streaming_ckg.h"
@@ -1270,8 +1269,8 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
 // ---- Store -------------------------------------------------------------------
 
 /// Random tiny web-scale configuration: the same deterministic input stream
-/// (ForEachWebScaleInput) feeds the streamed CompactCkg and the materialized
-/// int64 Ckg oracle.
+/// (ForEachWebScaleInput) feeds the streamed graph, the in-memory build and
+/// the structural oracle.
 WebScaleConfig RandomStoreConfig(Rng& rng) {
   WebScaleConfig config;
   config.name = "fuzz-store";
@@ -1292,20 +1291,23 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   ScopedFiniteChecks finite_checks;
   const WebScaleConfig config = RandomStoreConfig(rng);
 
-  // Oracle: materialize the generator's exact logical inputs and run the
-  // pre-store int64 build.
+  // Oracle: the generator's exact logical inputs, globally sorted and
+  // deduplicated as directed edges.
   std::vector<std::array<int64_t, 2>> interactions;
   std::vector<std::array<int64_t, 3>> kg_triplets;
   MaterializeWebScaleInputs(config, &interactions, &kg_triplets);
-  const Ckg oracle =
+  const std::vector<Edge> oracle = OracleCkgEdges(
+      config.num_users, config.num_kg_relations, interactions, kg_triplets);
+
+  // Subjects: the in-memory build over the materialized inputs, and the
+  // streamed two-pass assembly roundtripped through a KUCSTOR1 container in
+  // the in-memory filesystem on a randomly chosen load path.
+  const Ckg built =
       Ckg::Build(config.num_users, config.num_items, config.num_kg_nodes(),
                  config.num_kg_relations, interactions, kg_triplets);
-
-  // Subject: streamed two-pass assembly, then a KUCSTOR1 roundtrip through
-  // the in-memory filesystem on a randomly chosen load path.
   InMemoryFileSystem fs;
   const std::string path = "/fuzz/store.kucstor";
-  CompactCkg generated;
+  Ckg generated;
   const Status gen = GenerateWebScaleContainer(fs, path, config, &generated);
   if (!gen.ok()) {
     result.Fail() << "generate: " << gen.message();
@@ -1314,14 +1316,14 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   StoreLoadOptions load_options;
   load_options.use_mmap = rng.Bernoulli(0.5);
   load_options.verify_checksums = rng.Bernoulli(0.5);
-  CompactCkg compact;
+  Ckg loaded;
   StoreLoadStats stats;
-  const Status load = LoadCompactCkg(fs, path, load_options, &compact, &stats);
+  const Status load = LoadCompactCkg(fs, path, load_options, &loaded, &stats);
   if (!load.ok()) {
     result.Fail() << "load: " << load.message();
     return;
   }
-  const Status topology = compact.ValidateTopology();
+  const Status topology = loaded.ValidateTopology();
   if (!topology.ok()) {
     result.Fail() << "topology: " << topology.message();
     return;
@@ -1329,70 +1331,53 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
 
   // Full structural equality against the oracle: every scalar, every
   // adjacency row (relation and destination, in order).
-  if (compact.num_users() != oracle.num_users() ||
-      compact.num_items() != oracle.num_items() ||
-      compact.num_kg_nodes() != oracle.num_kg_nodes() ||
-      compact.num_nodes() != oracle.num_nodes() ||
-      compact.num_base_relations() != oracle.num_base_relations() ||
-      compact.num_relations() != oracle.num_relations() ||
-      compact.self_loop_relation() != oracle.self_loop_relation() ||
-      compact.num_edges() != oracle.num_edges()) {
-    result.Fail() << "scalar mismatch: compact " << compact.num_nodes()
-                  << " nodes/" << compact.num_edges() << " edges/"
-                  << compact.num_relations() << " rels vs oracle "
-                  << oracle.num_nodes() << "/" << oracle.num_edges() << "/"
-                  << oracle.num_relations();
-    return;
-  }
-  for (int64_t node = 0; node < oracle.num_nodes(); ++node) {
-    if (compact.OutDegree(node) != oracle.OutDegree(node)) {
-      result.Fail() << "degree mismatch at node " << node << ": compact="
-                    << compact.OutDegree(node)
-                    << " oracle=" << oracle.OutDegree(node);
+  for (const auto& [name, graph] :
+       {std::pair<const char*, const Ckg*>{"built", &built},
+        {"generated", &generated},
+        {"loaded", &loaded}}) {
+    if (graph->num_users() != config.num_users ||
+        graph->num_items() != config.num_items ||
+        graph->num_kg_nodes() != config.num_kg_nodes() ||
+        graph->num_kg_relations() != config.num_kg_relations) {
+      result.Fail() << name << ": scalar mismatch (" << graph->num_users()
+                    << " users/" << graph->num_items() << " items/"
+                    << graph->num_kg_nodes() << " kg nodes/"
+                    << graph->num_kg_relations() << " kg relations)";
       return;
     }
-    const auto c_rels = compact.OutRelations(node);
-    const auto c_dsts = compact.OutNeighbors(node);
-    const auto o_rels = oracle.OutRelations(node);
-    const auto o_dsts = oracle.OutNeighbors(node);
-    for (size_t k = 0; k < o_rels.size(); ++k) {
-      if (static_cast<int64_t>(c_rels[k]) != o_rels[k] ||
-          static_cast<int64_t>(c_dsts[k]) != o_dsts[k]) {
-        result.Fail() << "row mismatch at node " << node << " slot " << k
-                      << ": compact=(" << c_rels[k] << "," << c_dsts[k]
-                      << ") oracle=(" << o_rels[k] << "," << o_dsts[k] << ")";
-        return;
-      }
+    const std::string mismatch = DescribeCkgMismatch(*graph, oracle);
+    if (!mismatch.empty()) {
+      result.Fail() << name << ": " << mismatch;
+      return;
     }
   }
 
-  // Bitwise PPR agreement: the typed-id instantiation must replay the exact
-  // push transcript of the int64 one.
-  const int64_t source = rng.UniformInt(oracle.num_nodes());
+  // Bitwise PPR agreement between the in-memory and the loaded graph.
+  const int64_t source = rng.UniformInt(built.num_nodes());
   const real_t alpha = rng.Uniform(0.05, 0.95);
   const real_t epsilon = std::pow(10.0, -(3.0 + rng.Uniform() * 4.0));
-  const auto push_compact = PprForwardPush(compact, source, alpha, epsilon);
-  const auto push_oracle = PprForwardPush(oracle, source, alpha, epsilon);
-  if (push_compact.size() != push_oracle.size()) {
-    result.Fail() << "ppr support: compact=" << push_compact.size()
-                  << " oracle=" << push_oracle.size() << " (source=" << source
+  const auto push_loaded = PprForwardPush(loaded, source, alpha, epsilon);
+  const auto push_built = PprForwardPush(built, source, alpha, epsilon);
+  if (push_loaded.size() != push_built.size()) {
+    result.Fail() << "ppr support: loaded=" << push_loaded.size()
+                  << " built=" << push_built.size() << " (source=" << source
                   << " alpha=" << alpha << " eps=" << epsilon << ")";
     return;
   }
-  for (const auto& [node, value] : push_oracle) {
-    const auto it = push_compact.find(node);
-    if (it == push_compact.end() || UlpDistance(it->second, value) != 0) {
-      result.Fail() << "ppr estimate at node " << node << ": compact="
-                    << (it == push_compact.end() ? 0.0 : it->second)
-                    << " oracle=" << value << " (source=" << source
+  for (const auto& [node, value] : push_built) {
+    const auto it = push_loaded.find(node);
+    if (it == push_loaded.end() || UlpDistance(it->second, value) != 0) {
+      result.Fail() << "ppr estimate at node " << node << ": loaded="
+                    << (it == push_loaded.end() ? 0.0 : it->second)
+                    << " built=" << value << " (source=" << source
                     << " alpha=" << alpha << " eps=" << epsilon << ")";
       return;
     }
   }
 
   // End-to-end serve equality on a subset of cases (full model stacks are
-  // the expensive part): identically-seeded Kucnet + RecServer over each
-  // graph representation must produce identical responses.
+  // the expensive part): identically-seeded Kucnet + RecServer over the
+  // in-memory and the loaded graph must produce identical responses.
   if (case_seed % 4 != 0) return;
   Dataset dataset;
   dataset.name = config.name;
@@ -1403,33 +1388,33 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   dataset.train = interactions;
   dataset.kg = kg_triplets;
 
-  const PprTable ppr_oracle = PprTable::Compute(oracle);
-  const PprTable ppr_compact = PprTable::Compute(compact);
+  const PprTable ppr_built = PprTable::Compute(built);
+  const PprTable ppr_loaded = PprTable::Compute(loaded);
 
   KucnetOptions model_opts;
   model_opts.hidden_dim = 8;
   model_opts.attention_dim = 3;
   model_opts.depth = 2;
   model_opts.sample_k = 8;
-  Kucnet model_oracle(&dataset, &oracle, &ppr_oracle, model_opts);
-  Kucnet model_compact(&dataset, &compact, &ppr_compact, model_opts);
+  Kucnet model_built(&dataset, &built, &ppr_built, model_opts);
+  Kucnet model_loaded(&dataset, &loaded, &ppr_loaded, model_opts);
 
   RecServerOptions server_opts;
   server_opts.num_workers = 0;  // ServeSync only: strictly sequential
-  RecServer server_oracle(&model_oracle, &dataset, &oracle, &ppr_oracle,
+  RecServer server_built(&model_built, &dataset, &built, &ppr_built,
+                         server_opts);
+  RecServer server_loaded(&model_loaded, &dataset, &loaded, &ppr_loaded,
                           server_opts);
-  RecServer server_compact(&model_compact, &dataset, &compact, &ppr_compact,
-                           server_opts);
 
   const int64_t top_n = 1 + rng.UniformInt(10);
   for (int64_t user = 0; user < config.num_users; ++user) {
-    const RecResponse a = server_oracle.ServeSync({user, top_n, 0});
-    const RecResponse b = server_compact.ServeSync({user, top_n, 0});
+    const RecResponse a = server_built.ServeSync({user, top_n, 0});
+    const RecResponse b = server_loaded.ServeSync({user, top_n, 0});
     if (a.status != b.status || a.tier != b.tier ||
         a.degraded != b.degraded || a.items.size() != b.items.size()) {
       result.Fail() << "serve response shape for user " << user
-                    << ": oracle(status=" << static_cast<int>(a.status)
-                    << " items=" << a.items.size() << ") compact(status="
+                    << ": built(status=" << static_cast<int>(a.status)
+                    << " items=" << a.items.size() << ") loaded(status="
                     << static_cast<int>(b.status) << " items="
                     << b.items.size() << ")";
       return;
@@ -1438,8 +1423,8 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
       if (a.items[k].item != b.items[k].item ||
           UlpDistance(a.items[k].score, b.items[k].score) != 0) {
         result.Fail() << "serve item " << k << " for user " << user
-                      << ": oracle=(" << a.items[k].item << ","
-                      << a.items[k].score << ") compact=(" << b.items[k].item
+                      << ": built=(" << a.items[k].item << ","
+                      << a.items[k].score << ") loaded=(" << b.items[k].item
                       << "," << b.items[k].score << ")";
         return;
       }

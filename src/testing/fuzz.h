@@ -71,11 +71,12 @@ FuzzReport FuzzFleet(const FuzzOptions& options);
 /// conservation, and byte-identical WAL recovery digests.
 FuzzReport FuzzStream(const FuzzOptions& options);
 
-/// Web-scale store: a streamed CompactCkg roundtripped through the KUCSTOR1
-/// container (randomized mmap / checksum load paths) against the int64 Ckg
-/// oracle built from the identical materialized inputs — full topology
-/// equality, bitwise PPR agreement, and identical end-to-end serve responses
-/// from identically-seeded model stacks over each representation.
+/// Web-scale store: a streamed Ckg roundtripped through the KUCSTOR1
+/// container (randomized mmap / checksum load paths) and an in-memory
+/// Ckg::Build over the identical materialized inputs, each row-for-row
+/// against the global-sort structural oracle (OracleCkgEdges); then bitwise
+/// PPR agreement and identical end-to-end serve responses from
+/// identically-seeded model stacks over the built and the loaded graph.
 FuzzReport FuzzStore(const FuzzOptions& options);
 
 /// Runs one subsystem by name ("tensor", "ppr", "ranking", "topn", "serve",

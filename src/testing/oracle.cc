@@ -6,6 +6,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <sstream>
 
 #include "util/finite.h"
 #include "util/logging.h"
@@ -233,6 +234,62 @@ OraclePprResult OracleStreamRecompute(const DynamicCkg& graph, int64_t user,
                                       real_t alpha, real_t epsilon) {
   const Ckg rebuilt = graph.Rebuild();
   return OraclePprPush(rebuilt, rebuilt.UserNode(user), alpha, epsilon);
+}
+
+// ---- CKG structure -----------------------------------------------------------
+
+std::vector<Edge> OracleCkgEdges(
+    int64_t num_users, int64_t num_kg_relations,
+    const std::vector<std::array<int64_t, 2>>& interactions,
+    const std::vector<std::array<int64_t, 3>>& kg_triplets,
+    const std::vector<std::array<int64_t, 3>>& user_triplets) {
+  const int64_t num_base = 1 + num_kg_relations;
+  std::vector<Edge> edges;
+  for (const auto& [user, item] : interactions) {
+    edges.push_back({user, Ckg::kInteractRelation, num_users + item});
+    edges.push_back(
+        {num_users + item, Ckg::kInteractRelation + num_base, user});
+  }
+  for (const auto& [head, rel, tail] : kg_triplets) {
+    edges.push_back({num_users + head, rel + 1, num_users + tail});
+    edges.push_back({num_users + tail, rel + 1 + num_base, num_users + head});
+  }
+  for (const auto& [head, rel, tail] : user_triplets) {
+    edges.push_back({head, rel + 1, tail});
+    edges.push_back({tail, rel + 1 + num_base, head});
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.src != b.src) return a.src < b.src;
+    if (a.rel != b.rel) return a.rel < b.rel;
+    return a.dst < b.dst;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+std::string DescribeCkgMismatch(const Ckg& ckg,
+                                const std::vector<Edge>& edges) {
+  std::ostringstream out;
+  if (ckg.num_edges() != static_cast<int64_t>(edges.size())) {
+    out << "edge count: ckg=" << ckg.num_edges() << " oracle=" << edges.size();
+    return out.str();
+  }
+  // Equal totals, so the walk below never runs past `edges`.
+  size_t at = 0;
+  for (int64_t v = 0; v < ckg.num_nodes(); ++v) {
+    const auto rels = ckg.OutRelations(v);
+    const auto dsts = ckg.OutNeighbors(v);
+    for (size_t k = 0; k < rels.size(); ++k, ++at) {
+      const Edge got = {v, rels[k], dsts[k]};
+      if (got != edges[at]) {
+        out << "node " << v << " slot " << k << ": ckg=(" << got.rel << ","
+            << got.dst << ") oracle=(" << edges[at].src << ","
+            << edges[at].rel << "," << edges[at].dst << ")";
+        return out.str();
+      }
+    }
+  }
+  return "";
 }
 
 // ---- Ranking / metrics -------------------------------------------------------

@@ -1,7 +1,9 @@
 #ifndef KUCNET_TESTING_ORACLE_H_
 #define KUCNET_TESTING_ORACLE_H_
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -66,6 +68,23 @@ Matrix OracleGather(const Matrix& a, const std::vector<int64_t>& idx);
 /// out.row(seg[k]) += a.row(k), k ascending; `num_segments` output rows.
 Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
                         int64_t num_segments);
+
+// ---- CKG structure -----------------------------------------------------------
+
+/// The directed edges a CKG over these inputs stores, by a route
+/// independent of Ckg's row-wise assembly: both directions of every input
+/// (r and r + num_base_relations) in global ids, one global sort by
+/// (src, rel, dst), then `unique`. Inputs must be in range.
+std::vector<Edge> OracleCkgEdges(
+    int64_t num_users, int64_t num_kg_relations,
+    const std::vector<std::array<int64_t, 2>>& interactions,
+    const std::vector<std::array<int64_t, 3>>& kg_triplets,
+    const std::vector<std::array<int64_t, 3>>& user_triplets = {});
+
+/// Compares every row of `ckg` (relation and destination, in order) with
+/// `edges` from OracleCkgEdges. Returns the first difference, or "".
+std::string DescribeCkgMismatch(const Ckg& ckg,
+                                const std::vector<Edge>& edges);
 
 // ---- PPR ---------------------------------------------------------------------
 

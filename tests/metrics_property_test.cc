@@ -120,6 +120,7 @@ ServerStats RandomStats(Rng& rng) {
   stats.cache_warmed = rng.UniformInt(100);
   stats.degraded = rng.UniformInt(500);
   stats.no_ppr_user = rng.UniformInt(20);
+  stats.unknown_user = rng.UniformInt(20);
   stats.forward_batches = rng.UniformInt(200);
   stats.batched_requests = rng.UniformInt(1000);
   stats.multi_user_batches = rng.UniformInt(100);
@@ -169,6 +170,7 @@ TEST(ServerStatsMergeTest, MergeIsComponentwiseAdditionAndCommutes) {
     EXPECT_EQ(ab.completed, a.completed + b.completed);
     EXPECT_EQ(ab.cache_warmed, a.cache_warmed + b.cache_warmed);
     EXPECT_EQ(ab.no_ppr_user, a.no_ppr_user + b.no_ppr_user);
+    EXPECT_EQ(ab.unknown_user, a.unknown_user + b.unknown_user);
     EXPECT_EQ(ab.forward_batches, a.forward_batches + b.forward_batches);
     EXPECT_EQ(ab.batched_requests, a.batched_requests + b.batched_requests);
     EXPECT_EQ(ab.multi_user_batches,

@@ -321,10 +321,10 @@ TEST_F(ObsTest, ContainerLoadSetsStoreGaugesAndRecordsSpans) {
   config.num_kg_triplets = 12;
 
   InMemoryFileSystem fs;
-  CompactCkg written;
+  Ckg written;
   ASSERT_TRUE(
       GenerateWebScaleContainer(fs, "/obs/g.kucstor", config, &written).ok());
-  CompactCkg loaded;
+  Ckg loaded;
   StoreLoadStats stats;
   ASSERT_TRUE(LoadCompactCkg(fs, "/obs/g.kucstor", StoreLoadOptions(),
                              &loaded, &stats)
@@ -363,7 +363,7 @@ TEST_F(ObsTest, StoreMmapHitGaugeReportsKernelMappings) {
   FileSystem& real = DefaultFileSystem();
   const std::string path = ::testing::TempDir() + "/obs_store.kucstor";
   ASSERT_TRUE(GenerateWebScaleContainer(real, path, config).ok());
-  CompactCkg loaded;
+  Ckg loaded;
   ASSERT_TRUE(
       LoadCompactCkg(real, path, StoreLoadOptions(), &loaded, nullptr).ok());
   EXPECT_EQ(obs::DefaultRegistry().Snapshot().gauges.at("store.mmap_hit"), 1);

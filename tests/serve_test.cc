@@ -12,6 +12,7 @@
 
 #include "core/kucnet.h"
 #include "data/synthetic.h"
+#include "serve/fleet/shard_router.h"
 #include "serve/rec_server.h"
 #include "serve/score_cache.h"
 #include "util/clock.h"
@@ -231,6 +232,75 @@ TEST(RecServerTest, WorkersServeSubmittedRequests) {
   EXPECT_EQ(stats.completed, 10);
   EXPECT_EQ(stats.tier_count[static_cast<int>(ServeTier::kFull)], 10);
   EXPECT_EQ(stats.latency.total, 10);
+}
+
+// ---- Unknown user ids --------------------------------------------------------
+
+/// Checks one response to a request naming a user id the graph does not
+/// have: a non-empty popularity answer with the reason noted.
+void ExpectUnknownUserAnswer(const RecResponse& response, int64_t user) {
+  EXPECT_EQ(response.status, ResponseStatus::kOk) << "user " << user;
+  EXPECT_EQ(response.tier, ServeTier::kPopularity) << "user " << user;
+  EXPECT_TRUE(response.degraded) << "user " << user;
+  EXPECT_FALSE(response.items.empty()) << "user " << user;
+  EXPECT_NE(response.degrade_reason.find("user " + std::to_string(user) +
+                                         " unknown"),
+            std::string::npos)
+      << response.degrade_reason;
+}
+
+// Regression: a user id from outside [0, num_users) reached the PPR table's
+// bounds check inside full-tier extraction and aborted the whole server.
+TEST(RecServerTest, UnknownUserIdsGetPopularityAnswersOnServeSync) {
+  ServeFixture f(SyncOptions());
+  const int64_t unknown[] = {f.ckg.num_users(), -1};
+  for (const int64_t user : unknown) {
+    ExpectUnknownUserAnswer(f.server->ServeSync({user, 20, 20'000}), user);
+  }
+  const ServerStats stats = f.server->stats();
+  EXPECT_EQ(stats.unknown_user, 2);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.tier_count[static_cast<int>(ServeTier::kPopularity)], 2);
+  // A known user on the same server still gets the full tier.
+  EXPECT_EQ(f.server->ServeSync({0}).tier, ServeTier::kFull);
+  EXPECT_EQ(f.server->stats().unknown_user, 2);
+}
+
+TEST(RecServerTest, UnknownUserIdsGetPopularityAnswersOnSubmit) {
+  RecServerOptions opts;
+  opts.num_workers = 2;
+  opts.default_deadline_micros = 60'000'000;
+  ServeFixture f(opts);
+  const int64_t unknown[] = {f.ckg.num_users(), -1};
+  for (const int64_t user : unknown) {
+    ExpectUnknownUserAnswer(f.server->Submit({user, 20, 20'000}).get(), user);
+  }
+  EXPECT_EQ(f.server->Submit({1}).get().tier, ServeTier::kFull);
+  const ServerStats stats = f.server->stats();
+  EXPECT_EQ(stats.unknown_user, 2);
+  EXPECT_EQ(stats.admitted, 3);
+  EXPECT_EQ(stats.completed, 3);
+}
+
+TEST(RecServerTest, UnknownUserIdIsAnsweredThroughTheShardRouter) {
+  const Dataset dataset = TinyDataset();
+  const Ckg ckg = dataset.BuildCkg();
+  const PprTable ppr = PprTable::Compute(ckg);
+  Kucnet model(&dataset, &ckg, &ppr, SmallModelOptions());
+  FakeClock clock;
+  ShardRouterOptions options;
+  options.server.num_workers = 0;
+  options.clock = &clock;
+  options.wait_micros = [&clock](int64_t micros) {
+    clock.AdvanceMicros(micros);
+  };
+  ShardRouter router({&model}, &dataset, &ckg, &ppr, std::move(options));
+  FleetRequest request;
+  request.request = {ckg.num_users(), 20, 20'000};
+  const FleetResponse got = router.Route(request);
+  EXPECT_EQ(got.path, FleetPath::kPrimary);
+  ExpectUnknownUserAnswer(got.response, ckg.num_users());
+  EXPECT_EQ(router.stats().shards.unknown_user, 1);
 }
 
 TEST(RecServerTest, SubmitAfterShutdownIsRejected) {

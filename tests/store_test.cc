@@ -1,8 +1,10 @@
-// The web-scale data plane (src/store/): CompactCkg ≡ Ckg structural and
-// algorithmic equivalence, 32-bit id overflow policy, KUCSTOR1 container
-// roundtrips across every load path, a whole-file corruption sweep (every
-// flipped byte either fails with file:line:cause or is provably harmless
-// padding), and crash sweeps killing save/load at every single IO op.
+// The web-scale data plane (src/store/ and the Ckg storage it reads and
+// writes): Ckg row-for-row against the global-sort structural oracle, the
+// 32/16-bit id overflow policy, KUCSTOR1 container roundtrips across every
+// load path, out-of-range edge ids behind valid checksums, a whole-file
+// corruption sweep (every flipped byte either fails with file:line:cause or
+// is provably harmless padding), and crash sweeps killing save/load at every
+// single IO op.
 
 #include <array>
 #include <cstdint>
@@ -14,15 +16,18 @@
 
 #include "graph/ckg.h"
 #include "ppr/ppr.h"
-#include "store/compact_ckg.h"
 #include "store/container.h"
 #include "store/web_scale.h"
+#include "testing/oracle.h"
 #include "util/fs.h"
 #include "util/serial.h"
 #include "util/status.h"
 
 namespace kucnet {
 namespace {
+
+using testing::DescribeCkgMismatch;
+using testing::OracleCkgEdges;
 
 /// A small fixed configuration with real structure: Zipf-skewed popularity,
 /// isolated entities, duplicate interactions likely.
@@ -39,8 +44,8 @@ WebScaleConfig TinyConfig() {
   return config;
 }
 
-/// Builds the int64 oracle from the exact inputs the generator streams.
-Ckg BuildOracle(const WebScaleConfig& config) {
+/// Builds the graph in memory from the exact inputs the generator streams.
+Ckg BuildInMemory(const WebScaleConfig& config) {
   std::vector<std::array<int64_t, 2>> interactions;
   std::vector<std::array<int64_t, 3>> kg;
   MaterializeWebScaleInputs(config, &interactions, &kg);
@@ -50,8 +55,7 @@ Ckg BuildOracle(const WebScaleConfig& config) {
 
 /// Full structural comparison; returns a description of the first
 /// difference, or "" when identical.
-template <typename A, typename B>
-std::string DescribeGraphDiff(const A& a, const B& b) {
+std::string DescribeGraphDiff(const Ckg& a, const Ckg& b) {
   if (a.num_users() != b.num_users() || a.num_items() != b.num_items() ||
       a.num_kg_nodes() != b.num_kg_nodes() ||
       a.num_kg_relations() != b.num_kg_relations() ||
@@ -65,8 +69,7 @@ std::string DescribeGraphDiff(const A& a, const B& b) {
     const auto b_rels = b.OutRelations(v);
     const auto b_dsts = b.OutNeighbors(v);
     for (size_t k = 0; k < a_rels.size(); ++k) {
-      if (static_cast<int64_t>(a_rels[k]) != static_cast<int64_t>(b_rels[k]) ||
-          static_cast<int64_t>(a_dsts[k]) != static_cast<int64_t>(b_dsts[k])) {
+      if (a_rels[k] != b_rels[k] || a_dsts[k] != b_dsts[k]) {
         return "adjacency row differs";
       }
     }
@@ -74,35 +77,46 @@ std::string DescribeGraphDiff(const A& a, const B& b) {
   return "";
 }
 
-// ---- CompactCkg ≡ Ckg --------------------------------------------------------
+// ---- Ckg against the structural oracle ---------------------------------------
 
-TEST(CompactCkgTest, MatchesInt64BuildOnIdenticalInputs) {
+TEST(CkgStoreTest, StreamedAndBuiltGraphsMatchStructuralOracle) {
   const WebScaleConfig config = TinyConfig();
-  const Ckg oracle = BuildOracle(config);
-  CompactCkg compact;
-  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &compact).ok());
-  EXPECT_EQ(DescribeGraphDiff(oracle, compact), "");
-  EXPECT_TRUE(compact.ValidateTopology().ok());
+  std::vector<std::array<int64_t, 2>> interactions;
+  std::vector<std::array<int64_t, 3>> kg;
+  MaterializeWebScaleInputs(config, &interactions, &kg);
+  const std::vector<Edge> oracle =
+      OracleCkgEdges(config.num_users, config.num_kg_relations, interactions,
+                     kg);
+  Ckg streamed;
+  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &streamed).ok());
+  EXPECT_EQ(DescribeCkgMismatch(streamed, oracle), "");
+  EXPECT_EQ(DescribeCkgMismatch(BuildInMemory(config), oracle), "");
+  EXPECT_TRUE(streamed.ValidateTopology().ok());
 
-  // The shared id/relation conventions.
-  EXPECT_EQ(compact.num_relations(), oracle.num_relations());
-  EXPECT_EQ(compact.self_loop_relation(), oracle.self_loop_relation());
-  for (int64_t r = 0; r < oracle.num_relations(); ++r) {
-    EXPECT_EQ(compact.InverseRelation(r), oracle.InverseRelation(r));
-  }
+  // ItemsOfUser reads the interact edges of the user's row.
   for (int64_t u = 0; u < config.num_users; ++u) {
-    EXPECT_EQ(compact.ItemsOfUser(u), oracle.ItemsOfUser(u));
+    std::vector<int64_t> want;
+    for (const Edge& e : oracle) {
+      if (e.src == u && e.rel == Ckg::kInteractRelation) {
+        want.push_back(streamed.ItemOfNode(e.dst));
+      }
+    }
+    EXPECT_EQ(streamed.ItemsOfUser(u), want) << "user " << u;
   }
 }
 
-TEST(CompactCkgTest, PprForwardPushIsBitwiseIdenticalAcrossRepresentations) {
+TEST(CkgStoreTest, PprForwardPushIsBitwiseIdenticalAfterContainerRoundTrip) {
   const WebScaleConfig config = TinyConfig();
-  const Ckg oracle = BuildOracle(config);
-  CompactCkg compact;
-  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &compact).ok());
-  for (int64_t source = 0; source < oracle.num_nodes(); ++source) {
-    const auto a = PprForwardPush(oracle, source);
-    const auto b = PprForwardPush(compact, source);
+  const Ckg built = BuildInMemory(config);
+  InMemoryFileSystem fs;
+  ASSERT_TRUE(GenerateWebScaleContainer(fs, "/store/ppr.kucstor", config).ok());
+  Ckg loaded;
+  ASSERT_TRUE(LoadCompactCkg(fs, "/store/ppr.kucstor", StoreLoadOptions(),
+                             &loaded, nullptr)
+                  .ok());
+  for (int64_t source = 0; source < built.num_nodes(); ++source) {
+    const auto a = PprForwardPush(built, source);
+    const auto b = PprForwardPush(loaded, source);
     ASSERT_EQ(a.size(), b.size()) << "source " << source;
     for (const auto& [node, value] : a) {
       const auto it = b.find(node);
@@ -114,43 +128,40 @@ TEST(CompactCkgTest, PprForwardPushIsBitwiseIdenticalAcrossRepresentations) {
   }
 }
 
-TEST(CompactCkgTest, CompactFootprintIsWellUnderHalfOfInt64Layout) {
-  const WebScaleConfig config = TinyConfig();
-  CompactCkg compact;
-  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &compact).ok());
-  const int64_t int64_bytes =
-      (compact.num_nodes() + 1) * 8 + compact.num_edges() * 16;
-  EXPECT_LE(compact.bytes_resident() * 100, int64_bytes * 40)
-      << "bytes/edge must stay <= 40% of the int64 CSR layout";
+TEST(CkgStoreTest, FootprintIsSixBytesPerEdgePlusFourPerNode) {
+  Ckg graph;
+  ASSERT_TRUE(TryGenerateWebScaleGraph(TinyConfig(), &graph).ok());
+  EXPECT_EQ(graph.bytes_resident(),
+            (graph.num_nodes() + 1) * 4 + graph.num_edges() * 6);
 }
 
 // ---- Overflow policy ---------------------------------------------------------
 
-TEST(CompactCkgTest, RelationOverflowIsRecoverableStatus) {
-  CompactCkg out;
+TEST(CkgStoreTest, RelationOverflowIsRecoverableStatus) {
+  Ckg out;
   const Status st =
-      CompactCkg::TryBuild(1, 1, 1, /*num_kg_relations=*/40'000, {}, {}, {},
+      Ckg::TryBuild(1, 1, 1, /*num_kg_relations=*/40'000, {}, {}, {},
                            &out);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("overflow 16-bit"), std::string::npos)
       << st.message();
 }
 
-TEST(CompactCkgTest, NodeOverflowIsRecoverableStatusBeforeAllocation) {
-  CompactCkg out;
+TEST(CkgStoreTest, NodeOverflowIsRecoverableStatusBeforeAllocation) {
+  Ckg out;
   // 5e9 nodes would be a 20 GB row-pointer array; the overflow check must
   // fire before any allocation is attempted.
-  const Status st = CompactCkg::TryBuild(5'000'000'000, 1, 1, 1, {}, {}, {},
+  const Status st = Ckg::TryBuild(5'000'000'000, 1, 1, 1, {}, {}, {},
                                          &out);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("overflow 32-bit"), std::string::npos)
       << st.message();
 }
 
-TEST(CompactCkgTest, OutOfRangeEdgeIsRecoverableStatus) {
-  CompactCkg out;
+TEST(CkgStoreTest, OutOfRangeEdgeIsRecoverableStatus) {
+  Ckg out;
   const std::vector<std::array<int64_t, 2>> bad_inter = {{0, 99}};
-  const Status st = CompactCkg::TryBuild(2, 3, 3, 1, bad_inter, {}, {}, &out);
+  const Status st = Ckg::TryBuild(2, 3, 3, 1, bad_inter, {}, {}, &out);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("out of range"), std::string::npos)
       << st.message();
@@ -160,12 +171,12 @@ TEST(CompactCkgTest, OutOfRangeEdgeIsRecoverableStatus) {
 // re-validation this would index the row cursors out of range (or run a
 // row's writes into its neighbor's) — silent arena corruption instead of a
 // recoverable Status.
-TEST(CompactCkgTest, ContentDivergentSecondPassIsARecoverableStatus) {
+TEST(CkgStoreTest, ContentDivergentSecondPassIsARecoverableStatus) {
   // Case 1: pass 2 routes the edges to a different (valid) source whose
   // pass-1 row is empty, overflowing that row's cursor.
-  CompactCkg out;
+  Ckg out;
   int pass = 0;
-  Status st = CompactCkg::TryAssemble(
+  Status st = Ckg::TryAssemble(
       2, 1, 1, 1,
       [&pass](auto&& sink) {
         ++pass;
@@ -180,7 +191,7 @@ TEST(CompactCkgTest, ContentDivergentSecondPassIsARecoverableStatus) {
 
   // Case 2: pass 2 emits a source id far outside [0, n).
   pass = 0;
-  st = CompactCkg::TryAssemble(
+  st = Ckg::TryAssemble(
       2, 1, 1, 1,
       [&pass](auto&& sink) { sink(++pass == 1 ? 0 : 99, 0, 1); }, &out);
   ASSERT_FALSE(st.ok());
@@ -188,10 +199,10 @@ TEST(CompactCkgTest, ContentDivergentSecondPassIsARecoverableStatus) {
       << st.message();
 }
 
-TEST(CompactCkgTest, NonDeterministicEmitStreamIsRejected) {
-  CompactCkg out;
+TEST(CkgStoreTest, NonDeterministicEmitStreamIsRejected) {
+  Ckg out;
   int pass = 0;
-  const Status st = CompactCkg::TryAssemble(
+  const Status st = Ckg::TryAssemble(
       1, 1, 1, 1,
       [&pass](auto&& sink) {
         ++pass;
@@ -216,7 +227,7 @@ class ContainerTest : public ::testing::Test {
 
   static constexpr const char* kPath = "/store/test.kucstor";
   WebScaleConfig config_;
-  CompactCkg graph_;
+  Ckg graph_;
   InMemoryFileSystem fs_;
 };
 
@@ -226,7 +237,7 @@ TEST_F(ContainerTest, RoundTripsOnEveryLoadPath) {
       StoreLoadOptions options;
       options.use_mmap = use_mmap;
       options.verify_checksums = verify;
-      CompactCkg loaded;
+      Ckg loaded;
       StoreLoadStats stats;
       ASSERT_TRUE(LoadCompactCkg(fs_, kPath, options, &loaded, &stats).ok())
           << "mmap=" << use_mmap << " verify=" << verify;
@@ -245,7 +256,7 @@ TEST_F(ContainerTest, RealFilesystemLoadIsKernelMapped) {
   FileSystem& real = DefaultFileSystem();
   const std::string path = ::testing::TempDir() + "/store_mmap.kucstor";
   ASSERT_TRUE(SaveCompactCkg(real, path, graph_).ok());
-  CompactCkg loaded;
+  Ckg loaded;
   StoreLoadStats stats;
   ASSERT_TRUE(LoadCompactCkg(real, path, StoreLoadOptions(), &loaded, &stats)
                   .ok());
@@ -256,7 +267,7 @@ TEST_F(ContainerTest, RealFilesystemLoadIsKernelMapped) {
 }
 
 TEST_F(ContainerTest, MissingFileIsRecoverableStatus) {
-  CompactCkg loaded;
+  Ckg loaded;
   const Status st =
       LoadCompactCkg(fs_, "/store/nope.kucstor", StoreLoadOptions(), &loaded,
                      nullptr);
@@ -279,7 +290,7 @@ TEST_F(ContainerTest, EveryFlippedByteFailsWithFileLineCauseOrIsPadding) {
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
     InMemoryFileSystem corrupt_fs;
     ASSERT_TRUE(corrupt_fs.WriteFile(kPath, corrupt).ok());
-    CompactCkg loaded;
+    Ckg loaded;
     const Status st =
         LoadCompactCkg(corrupt_fs, kPath, options, &loaded, nullptr);
     if (st.ok()) {
@@ -326,7 +337,7 @@ TEST_F(ContainerTest, CraftedHugeSectionLengthWithValidChecksumsIsRejected) {
       for (const bool use_mmap : {true, false}) {
         StoreLoadOptions options;
         options.use_mmap = use_mmap;
-        CompactCkg loaded;
+        Ckg loaded;
         const Status st =
             LoadCompactCkg(corrupt_fs, kPath, options, &loaded, nullptr);
         ASSERT_FALSE(st.ok()) << "section " << s << " length " << crafted
@@ -338,13 +349,75 @@ TEST_F(ContainerTest, CraftedHugeSectionLengthWithValidChecksumsIsRejected) {
   }
 }
 
+/// Overwrites element `index` of section `section` (2 = RELS as u16,
+/// 3 = DSTS as u32) with `value` and recomputes that section's FNV footer,
+/// so the file passes every checksum.
+std::string PatchEdgeSection(std::string image, uint64_t section,
+                             uint64_t index, uint32_t value) {
+  uint64_t table_offset = 0;
+  std::memcpy(&table_offset, image.data() + 24, 8);
+  uint64_t offset = 0;
+  uint64_t length = 0;
+  std::memcpy(&offset, image.data() + table_offset + section * 24 + 8, 8);
+  std::memcpy(&length, image.data() + table_offset + section * 24 + 16, 8);
+  if (section == 2) {
+    const auto rel = static_cast<uint16_t>(value);
+    std::memcpy(image.data() + offset + index * 2, &rel, 2);
+  } else {
+    std::memcpy(image.data() + offset + index * 4, &value, 4);
+  }
+  const uint64_t footer = Fnv1a64(image.data() + offset, length);
+  std::memcpy(image.data() + offset + length, &footer, 8);
+  return image;
+}
+
+// Checksums only prove the bytes are what some writer produced. A file
+// crafted with out-of-range edge ids and recomputed footers must still be
+// rejected on every path that reads the edge sections up front; the lazy
+// mmap path stays trusted-only, and ValidateTopology catches it there.
+TEST_F(ContainerTest, OutOfRangeEdgeIdsBehindValidChecksumsAreRejected) {
+  std::string image;
+  ASSERT_TRUE(fs_.ReadFile(kPath, &image).ok());
+  const auto n = static_cast<uint32_t>(graph_.num_nodes());
+  const auto num_rels = static_cast<uint32_t>(graph_.num_relations());
+  const struct {
+    uint64_t section;
+    uint32_t value;
+  } crafted[] = {{3, 1'000'000}, {3, n}, {2, num_rels}, {2, 0xffff}};
+  for (const auto& c : crafted) {
+    InMemoryFileSystem bad_fs;
+    ASSERT_TRUE(
+        bad_fs.WriteFile(kPath, PatchEdgeSection(image, c.section, 0, c.value))
+            .ok());
+    for (const bool use_mmap : {true, false}) {
+      StoreLoadOptions options;
+      options.use_mmap = use_mmap;
+      options.verify_checksums = true;
+      Ckg loaded;
+      const Status st =
+          LoadCompactCkg(bad_fs, kPath, options, &loaded, nullptr);
+      ASSERT_FALSE(st.ok()) << "section " << c.section << " value " << c.value
+                            << " mmap=" << use_mmap;
+      EXPECT_NE(st.message().find("container.cc:"), std::string::npos)
+          << st.message();
+      EXPECT_NE(st.message().find("out of range"), std::string::npos)
+          << st.message();
+    }
+    StoreLoadOptions lazy;
+    lazy.verify_checksums = false;
+    Ckg loaded;
+    ASSERT_TRUE(LoadCompactCkg(bad_fs, kPath, lazy, &loaded, nullptr).ok());
+    EXPECT_FALSE(loaded.ValidateTopology().ok());
+  }
+}
+
 TEST_F(ContainerTest, TruncationAtEveryLengthIsRejectedWithFileLine) {
   std::string image;
   ASSERT_TRUE(fs_.ReadFile(kPath, &image).ok());
   for (size_t len = 0; len < image.size(); len += 7) {
     InMemoryFileSystem short_fs;
     ASSERT_TRUE(short_fs.WriteFile(kPath, image.substr(0, len)).ok());
-    CompactCkg loaded;
+    Ckg loaded;
     const Status st =
         LoadCompactCkg(short_fs, kPath, StoreLoadOptions(), &loaded, nullptr);
     ASSERT_FALSE(st.ok()) << "truncated to " << len << " bytes";
@@ -365,7 +438,7 @@ TEST_F(ContainerTest, SaveKilledAtEveryOpNeverCorruptsThePreviousContainer) {
     // Learn the op count of a clean save, then kill at every op.
     WebScaleConfig bigger = config_;
     bigger.num_kg_triplets += 8;
-    CompactCkg next;
+    Ckg next;
     ASSERT_TRUE(TryGenerateWebScaleGraph(bigger, &next).ok());
     faulty.ResetOpCount();
     ASSERT_TRUE(SaveCompactCkg(faulty, kPath, next).ok());
@@ -379,7 +452,7 @@ TEST_F(ContainerTest, SaveKilledAtEveryOpNeverCorruptsThePreviousContainer) {
       faulty.Disarm();
       ASSERT_FALSE(st.ok()) << "kill_at=" << kill_at;
       // Atomic replacement: the old container still loads, bit for bit.
-      CompactCkg loaded;
+      Ckg loaded;
       ASSERT_TRUE(
           LoadCompactCkg(base, kPath, StoreLoadOptions(), &loaded, nullptr)
               .ok())
@@ -399,14 +472,14 @@ TEST_F(ContainerTest, LoadKilledAtEveryOpFailsCleanlyOnEveryPath) {
       StoreLoadOptions options;
       options.use_mmap = use_mmap;
       faulty.ResetOpCount();
-      CompactCkg warm;
+      Ckg warm;
       ASSERT_TRUE(
           LoadCompactCkg(faulty, kPath, options, &warm, nullptr).ok());
       const int64_t ops = faulty.op_count();
       ASSERT_GT(ops, 0);
       for (int64_t kill_at = 1; kill_at <= ops; ++kill_at) {
         faulty.FailFrom(kill_at, mode);
-        CompactCkg loaded;
+        Ckg loaded;
         const Status st =
             LoadCompactCkg(faulty, kPath, options, &loaded, nullptr);
         faulty.Disarm();
