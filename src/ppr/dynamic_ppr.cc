@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ppr/forward_push.h"
 #include "util/finite.h"
 #include "util/logging.h"
 
@@ -24,45 +24,18 @@ real_t MapValue(const std::unordered_map<int64_t, real_t>& m, int64_t key) {
 int64_t DynamicPprTable::LocalPush(const DynamicCkg& graph, real_t alpha,
                                    real_t epsilon, UserState* state,
                                    const std::vector<int64_t>& seeds) {
-  std::unordered_map<int64_t, real_t>& estimate = state->estimate;
-  std::unordered_map<int64_t, real_t>& residual = state->residual;
-  std::deque<int64_t> queue;
-  std::unordered_map<int64_t, bool> queued;
-  for (const int64_t v : seeds) {
-    queue.push_back(v);
-    queued[v] = true;
-  }
-  int64_t pushes = 0;
-  while (!queue.empty()) {
-    const int64_t v = queue.front();
-    queue.pop_front();
-    queued[v] = false;
-    const int64_t deg = graph.OutDegree(v);
-    real_t& rv = residual[v];
-    if (deg == 0) {
-      // Dangling node: all residual mass becomes estimate (self-restart),
-      // exactly as in TryPprForwardPush.
-      estimate[v] += rv;
-      rv = 0.0;
-      continue;
-    }
-    if (std::abs(rv) < epsilon * static_cast<real_t>(deg)) continue;
-    const real_t mass = rv;
-    estimate[v] += alpha * mass;
-    rv = 0.0;
-    ++pushes;
-    const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
-    graph.ForEachOutNeighbor(v, [&](int64_t /*rel*/, int64_t w) {
-      real_t& rw = residual[w];
-      rw += push;
-      if (std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w)) &&
-          !queued[w]) {
-        queued[w] = true;
-        queue.push_back(w);
-      }
-    });
-  }
-  return pushes;
+  ppr_internal::PushScratch& scratch =
+      ppr_internal::PushScratch::ForThisThread();
+  scratch.Begin(graph.num_nodes(), epsilon, &state->estimate,
+                &state->residual);
+  for (const int64_t v : seeds) scratch.Enqueue(v, scratch.Touch(graph, v));
+  ppr_internal::PushCounts counts;
+  const Status status = ppr_internal::RunForwardPush</*kSigned=*/true>(
+      graph, alpha, ExecContext(), scratch, &counts);
+  KUC_CHECK(status.ok()) << status.message();
+  scratch.WriteEstimates(&state->estimate);
+  scratch.WriteResiduals(&state->residual);
+  return counts.pushes;
 }
 
 DynamicPprTable DynamicPprTable::Compute(const DynamicCkg& graph,

@@ -1,9 +1,10 @@
 #include "ppr/ppr.h"
 
-#include <deque>
+#include <cmath>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ppr/forward_push.h"
 #include "util/clock.h"
 #include "util/finite.h"
 #include "util/logging.h"
@@ -45,59 +46,29 @@ Status TryPprForwardPush(const Ckg& ckg, int64_t source, real_t alpha,
   KUC_OBS_COUNT("ppr.push_calls", 1);
   KUC_CHECK_GE(source, 0);
   KUC_CHECK_LT(source, ckg.num_nodes());
-  std::unordered_map<int64_t, real_t>& estimate = *out;
-  estimate.clear();
-  std::unordered_map<int64_t, real_t> residual;
-  residual[source] = 1.0;
-  std::deque<int64_t> queue = {source};
-  std::unordered_map<int64_t, bool> queued;
-  queued[source] = true;
-
-  int64_t pops = 0;
-  while (!queue.empty()) {
-    if (pops++ % kPprCheckEveryPushes == 0) {
-      const Status status = ctx.Check("ppr");
-      if (!status.ok()) {
-        estimate.clear();
-        return status;
-      }
-    }
-    const int64_t v = queue.front();
-    queue.pop_front();
-    queued[v] = false;
-    KUC_OBS_COUNT("ppr.push_pops", 1);
-    const int64_t deg = ckg.OutDegree(v);
-    real_t& rv = residual[v];
-    if (deg == 0) {
-      // Dangling node: all residual mass becomes estimate (self-restart).
-      estimate[v] += rv;
-      rv = 0.0;
-      continue;
-    }
-    if (rv < epsilon * static_cast<real_t>(deg)) continue;
-    const real_t mass = rv;
-    estimate[v] += alpha * mass;
-    rv = 0.0;
-    const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
-    for (const int64_t w : ckg.OutNeighbors(v)) {
-      real_t& rw = residual[w];
-      rw += push;
-      if (rw >= epsilon * static_cast<real_t>(ckg.OutDegree(w)) &&
-          !queued[w]) {
-        queued[w] = true;
-        queue.push_back(w);
-      }
-    }
-  }
+  out->clear();
+  ppr_internal::PushScratch& scratch =
+      ppr_internal::PushScratch::ForThisThread();
+  scratch.Begin(ckg.num_nodes(), epsilon, nullptr, nullptr);
+  ppr_internal::PushSlot& seed = scratch.Touch(ckg, source);
+  seed.residual = 1.0;
+  scratch.Enqueue(source, seed);
+  ppr_internal::PushCounts counts;
+  const Status status = ppr_internal::RunForwardPush</*kSigned=*/false>(
+      ckg, alpha, ctx, scratch, &counts);
+  KUC_OBS_COUNT("ppr.push_pops", counts.pops);
+  if (!status.ok()) return status;
   // PPR boundary: estimates feed pruning and the serving heuristic tier; a
   // non-finite entry (degenerate alpha/epsilon, corrupt graph weights) must
   // fail here rather than skew rankings downstream.
   if (FiniteChecksEnabled()) {
-    for (const auto& [node, value] : estimate) {
+    for (const uint32_t node : scratch.estimated()) {
+      const real_t value = scratch.slot(node).estimate;
       KUC_CHECK(std::isfinite(value))
           << "ppr.estimate: non-finite value " << value << " at node " << node;
     }
   }
+  scratch.WriteEstimates(out);
   return Status::Ok();
 }
 

@@ -20,7 +20,9 @@
 /// the top-K out-edges per head node. We provide the paper's dense power
 /// iteration plus the classic Andersen-Chung-Lang forward-push approximation,
 /// which is what `PprTable` uses at scale; the two agree to the push's
-/// residual bound (verified in tests/ppr_test.cc).
+/// residual bound (verified in tests/ppr_test.cc). Every push runs on the
+/// dense per-thread kernel in ppr/forward_push.h (up to 44 B per graph node
+/// per pushing thread, kept for the thread's lifetime).
 
 namespace kucnet {
 

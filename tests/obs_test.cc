@@ -20,6 +20,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ppr/ppr.h"
 #include "serve/rec_server.h"
 #include "serve/score_cache.h"
 #include "store/container.h"
@@ -305,6 +306,21 @@ TEST_F(ObsTest, MacrosRecordOnlyWhenEnabled) {
   obs::Count("obs_test.dynamic", 3);  // gated: no further effect
   EXPECT_EQ(obs::DefaultRegistry().Snapshot().counters.at("obs_test.dynamic"),
             3);
+}
+
+TEST_F(ObsTest, PprPushPopsCounterEqualsThePopsOfOnePush) {
+  // Star: user 0 linked to items 0..2, each item linked back only. With
+  // alpha 0.15 and epsilon 0.2 (thresholds 0.6 at the user, 0.2 at an item)
+  // the walk pops the user (1.0 → 0.2833 per item), the three items (the
+  // user collects 0.7225), the user again (0.2047 per item) and the three
+  // items again (the user collects 0.5218 < 0.6): 8 pops in one push.
+  const std::vector<std::array<int64_t, 2>> inter = {{0, 0}, {0, 1}, {0, 2}};
+  const Ckg star = Ckg::Build(1, 3, 3, 1, inter, {});
+  const auto estimate = PprForwardPush(star, star.UserNode(0), 0.15, 0.2);
+  EXPECT_EQ(estimate.size(), 4u);
+  const obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
+  EXPECT_EQ(snapshot.counters.at("ppr.push_calls"), 1);
+  EXPECT_EQ(snapshot.counters.at("ppr.push_pops"), 8);
 }
 
 #endif  // KUCNET_OBS

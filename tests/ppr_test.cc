@@ -1,45 +1,98 @@
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "graph/ckg.h"
+#include "graph/dynamic_ckg.h"
+#include "ppr/dynamic_ppr.h"
 #include "ppr/ppr.h"
 #include "testing/fuzz.h"
 #include "testing/oracle.h"
+#include "util/clock.h"
+#include "util/fault.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace kucnet {
 namespace {
 
-// Connected random CKG without parallel (multi-relation) edges, so the push
-// walk and the deduplicated adjacency walk coincide exactly.
-Ckg SimpleRandomCkg(uint64_t seed, int64_t users = 5, int64_t items = 12,
-                    int64_t extra = 6) {
-  Rng rng(seed);
+// Inputs of a connected random CKG without parallel (multi-relation)
+// edges, so the push walk and the deduplicated adjacency walk coincide
+// exactly.
+struct RandomCkgInputs {
+  int64_t users = 0, items = 0, kg_nodes = 0;
   std::vector<std::array<int64_t, 2>> inter;
+  std::vector<std::array<int64_t, 3>> kg;
+};
+
+RandomCkgInputs SimpleRandomInputs(uint64_t seed, int64_t users = 5,
+                                   int64_t items = 12, int64_t extra = 6) {
+  Rng rng(seed);
+  RandomCkgInputs in;
+  in.users = users;
+  in.items = items;
+  in.kg_nodes = items + extra;
   // A spanning chain of interactions keeps the graph connected.
   for (int64_t u = 0; u < users; ++u) {
-    inter.push_back({u, u % items});
-    inter.push_back({u, (u + 1) % items});
+    in.inter.push_back({u, u % items});
+    in.inter.push_back({u, (u + 1) % items});
   }
   for (int k = 0; k < 10; ++k) {
-    inter.push_back({rng.UniformInt(users), rng.UniformInt(items)});
+    in.inter.push_back({rng.UniformInt(users), rng.UniformInt(items)});
   }
-  std::vector<std::array<int64_t, 3>> kg;
-  const int64_t kg_nodes = items + extra;
-  for (int64_t v = items; v < kg_nodes; ++v) {
-    kg.push_back({rng.UniformInt(items), 0, v});  // each entity linked
+  for (int64_t v = items; v < in.kg_nodes; ++v) {
+    in.kg.push_back({rng.UniformInt(items), 0, v});  // each entity linked
   }
   for (int k = 0; k < 10; ++k) {
-    const int64_t h = rng.UniformInt(kg_nodes);
-    int64_t t = rng.UniformInt(kg_nodes);
-    if (t == h) t = (t + 1) % kg_nodes;
-    kg.push_back({h, 0, t});
+    const int64_t h = rng.UniformInt(in.kg_nodes);
+    int64_t t = rng.UniformInt(in.kg_nodes);
+    if (t == h) t = (t + 1) % in.kg_nodes;
+    in.kg.push_back({h, 0, t});
   }
-  // Single relation id 0 throughout: (h, 0, t) duplicates collapse in Build.
-  return Ckg::Build(users, items, kg_nodes, 1, inter, kg);
+  return in;
+}
+
+// Single relation id 0 throughout: (h, 0, t) duplicates collapse in Build.
+Ckg BuildCkg(const RandomCkgInputs& in) {
+  return Ckg::Build(in.users, in.items, in.kg_nodes, 1, in.inter, in.kg);
+}
+
+DynamicCkg BuildDynamicCkg(const RandomCkgInputs& in) {
+  return DynamicCkg(in.users, in.items, in.kg_nodes, 1, in.inter, in.kg);
+}
+
+Ckg SimpleRandomCkg(uint64_t seed, int64_t users = 5, int64_t items = 12,
+                    int64_t extra = 6) {
+  return BuildCkg(SimpleRandomInputs(seed, users, items, extra));
+}
+
+// Same keys, same bits, same iteration order. Two maps built by the same
+// insertion sequence from the same bucket count iterate identically, so
+// order equality checks that a push replays the reference's insertions.
+void ExpectIdenticalMaps(const std::unordered_map<int64_t, real_t>& actual,
+                         const std::unordered_map<int64_t, real_t>& expected,
+                         const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  auto it = actual.begin();
+  for (const auto& [node, value] : expected) {
+    ASSERT_EQ(it->first, node) << what;
+    EXPECT_EQ(testing::UlpDistance(it->second, value), 0u)
+        << what << " node " << node;
+    ++it;
+  }
+}
+
+// A push from `source` into a fresh map must replay the oracle push.
+void ExpectPushMatchesOracle(const Ckg& g, int64_t source, real_t alpha,
+                             real_t epsilon, const std::string& what) {
+  const auto push = PprForwardPush(g, source, alpha, epsilon);
+  const auto oracle = testing::OraclePprPush(g, source, alpha, epsilon);
+  ExpectIdenticalMaps(push, oracle.estimate,
+                      what + " source " + std::to_string(source));
 }
 
 TEST(PprTest, PowerIterationIsAProbabilityVector) {
@@ -119,10 +172,33 @@ TEST(PprTableTest, SerialMatchesParallel) {
     const auto& b = parallel.Vector(u);
     ASSERT_EQ(a.size(), b.size()) << "user " << u;
     for (const auto& [node, value] : a) {
-      EXPECT_NEAR(value, b.at(node), 1e-12);
+      ASSERT_EQ(b.count(node), 1u) << "user " << u << " node " << node;
+      EXPECT_EQ(testing::UlpDistance(value, b.at(node)), 0u)
+          << "user " << u << " node " << node;
     }
   }
   EXPECT_GE(serial.compute_seconds(), 0.0);
+}
+
+TEST(DynamicPprTableTest, SerialMatchesParallelBitwise) {
+  const DynamicCkg graph = BuildDynamicCkg(SimpleRandomInputs(7, 12, 20, 8));
+  PprTableOptions opts;
+  opts.epsilon = 1e-7;
+  const DynamicPprTable serial = DynamicPprTable::Compute(graph, opts, nullptr);
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    const DynamicPprTable parallel =
+        DynamicPprTable::Compute(graph, opts, &pool);
+    ASSERT_EQ(serial.num_users(), parallel.num_users());
+    for (int64_t u = 0; u < serial.num_users(); ++u) {
+      const std::string what =
+          std::to_string(threads) + " threads, user " + std::to_string(u);
+      ExpectIdenticalMaps(parallel.Estimate(u), serial.Estimate(u),
+                          "estimate, " + what);
+      ExpectIdenticalMaps(parallel.Residual(u), serial.Residual(u),
+                          "residual, " + what);
+    }
+  }
 }
 
 TEST(PprTableTest, ScoreFnMatchesScore) {
@@ -219,6 +295,20 @@ TEST(PprOracleTest, PushMatchesOracleOnGraphWithDanglingNodes) {
   }
 }
 
+TEST(PprOracleTest, SelfLoopsThatQueueEveryNodeKeepTheFifoOrder) {
+  // A KG self-loop (h, r, h) gives h two out-edges to itself (r and its
+  // inverse). Popping the item here queues the user and then the item
+  // itself, so every node of the graph waits in the queue while the second
+  // self-edge is still being visited — the fullest the push queue can get.
+  const std::vector<std::array<int64_t, 2>> inter = {{0, 0}};
+  const std::vector<std::array<int64_t, 3>> kg = {{0, 0, 0}};
+  const Ckg g = Ckg::Build(1, 1, 1, 1, inter, kg);
+  ASSERT_EQ(g.num_nodes(), 2);
+  for (int64_t source = 0; source < g.num_nodes(); ++source) {
+    ExpectPushMatchesOracle(g, source, 0.15, 1e-6, "self-loops");
+  }
+}
+
 TEST(PprOracleTest, DanglingSourceAgainstDenseReference) {
   // Edges are stored in both directions, so any *reachable* node has an
   // out-edge; a dangling (edge-free) node can only ever be the source. Both
@@ -257,6 +347,102 @@ TEST(PprOracleTest, MassConservationUnderFuzz) {
   const testing::FuzzReport report = testing::FuzzPpr(options);
   EXPECT_TRUE(report.ok()) << report.first_failure;
   EXPECT_EQ(report.cases_run, 200);
+}
+
+// ---- Per-thread push scratch reuse ------------------------------------------
+// Every push on a thread reuses one dense scratch, invalidated by an epoch
+// bump instead of a clear. These run several pushes back to back on the test
+// thread and require each to replay the oracle bitwise, so state left by an
+// earlier push (stale stamps, queued marks, a half-drained queue) shows.
+
+TEST(PprScratchTest, LargeThenSmallThenLargeGraphOnOneThread) {
+  const Ckg large = SimpleRandomCkg(31, 40, 90, 60);
+  const Ckg small = SimpleRandomCkg(32);
+  ASSERT_GT(large.num_nodes(), 2 * small.num_nodes());
+  int round = 0;
+  for (const Ckg* g : {&large, &small, &large}) {
+    for (const int64_t user : {int64_t{0}, g->num_users() - 1}) {
+      ExpectPushMatchesOracle(*g, g->UserNode(user), 0.15, 1e-7,
+                              "round " + std::to_string(round));
+    }
+    ++round;
+  }
+}
+
+TEST(PprScratchTest, CancelledPushLeavesNothingForTheNextPush) {
+  const Ckg g = SimpleRandomCkg(33, 40, 90, 60);
+  const int64_t source = g.UserNode(3);
+  FaultInjector injector;
+  FakeClock clock;
+  clock.set_auto_advance_micros(1);
+  for (const bool by_fault : {true, false}) {
+    // Cancel mid-walk: the third checkpoint fails (after 2 *
+    // kPprCheckEveryPushes pops), by injected fault or expired deadline.
+    injector.Arm("ppr", 3);
+    const ExecContext ctx =
+        by_fault ? ExecContext(Deadline(), &injector)
+                 : ExecContext(Deadline::After(clock, 3));
+    std::unordered_map<int64_t, real_t> cancelled = {{0, 1.0}};
+    const Status status =
+        TryPprForwardPush(g, source, 0.15, 1e-9, ctx, &cancelled);
+    ASSERT_FALSE(status.ok()) << "the push ended before its third checkpoint";
+    EXPECT_TRUE(cancelled.empty());
+    injector.DisarmAll();
+    // The same source again and a different one, on the same thread.
+    ExpectPushMatchesOracle(g, source, 0.15, 1e-9, "after cancel");
+    ExpectPushMatchesOracle(g, g.UserNode(7), 0.15, 1e-9, "after cancel");
+  }
+}
+
+TEST(PprScratchTest, RepairRightAfterStaticPushOnOneThread) {
+  const RandomCkgInputs inputs = SimpleRandomInputs(34, 10, 20, 8);
+  const Ckg large = SimpleRandomCkg(35, 40, 90, 60);
+  ASSERT_GT(large.num_nodes(), BuildCkg(inputs).num_nodes());
+  PprTableOptions opts;
+  opts.epsilon = 1e-7;
+  // Compute, insert edges, repair — all on the calling thread. With
+  // `static_pushes_between`, static pushes on a larger graph run between
+  // the compute and the repair, leaving the scratch full of their state.
+  auto compute_and_repair = [&](bool static_pushes_between) {
+    DynamicCkg graph = BuildDynamicCkg(inputs);
+    DynamicPprTable table = DynamicPprTable::Compute(graph, opts, nullptr);
+    const Ckg base = BuildCkg(inputs);
+    for (int64_t u = 0; u < table.num_users(); ++u) {
+      // No overflow edges yet: the dynamic push replays the static one.
+      ExpectIdenticalMaps(
+          table.Estimate(u),
+          testing::OraclePprPush(base, base.UserNode(u), opts.alpha,
+                                 opts.epsilon)
+              .estimate,
+          "dynamic compute, user " + std::to_string(u));
+    }
+    std::vector<Edge> inserted;
+    graph.AddInteraction(0, 17, &inserted);
+    graph.AddInteraction(6, 3, &inserted);
+    graph.AddKgTriplet(2, 0, 25, &inserted);
+    if (static_pushes_between) {
+      for (const int64_t user : {int64_t{0}, large.num_users() - 1}) {
+        ExpectPushMatchesOracle(large, large.UserNode(user), 0.15, 1e-7,
+                                "static push before repair");
+      }
+    }
+    table.ApplyEdgeInsertions(graph, inserted, nullptr);
+    EXPECT_GT(table.last_repair_stats().pushes, 0);
+    return table;
+  };
+  // Reference: a thread whose scratch only ever saw this table's pushes.
+  std::unique_ptr<DynamicPprTable> reference;
+  std::thread([&] {
+    reference = std::make_unique<DynamicPprTable>(compute_and_repair(false));
+  }).join();
+  const DynamicPprTable repaired = compute_and_repair(true);
+  ASSERT_EQ(repaired.num_users(), reference->num_users());
+  for (int64_t u = 0; u < repaired.num_users(); ++u) {
+    ExpectIdenticalMaps(repaired.Estimate(u), reference->Estimate(u),
+                        "repaired estimate, user " + std::to_string(u));
+    ExpectIdenticalMaps(repaired.Residual(u), reference->Residual(u),
+                        "repaired residual, user " + std::to_string(u));
+  }
 }
 
 }  // namespace
