@@ -18,9 +18,7 @@ double PprRec::TrainEpoch(Rng& rng) {
 
 std::vector<double> PprRec::ScoreItems(int64_t user) const {
   std::vector<double> scores(dataset_->num_items);
-  for (int64_t i = 0; i < dataset_->num_items; ++i) {
-    scores[i] = ppr_->Score(user, ckg_->ItemNode(i));
-  }
+  ppr_->ScoreFn(user).ReadRange(ckg_->ItemNode(0), scores);
   return scores;
 }
 

@@ -32,6 +32,21 @@ Adam MakeOptimizer(const KucnetOptions& options) {
 
 }  // namespace
 
+void ReadoutItemScores(const Ckg& ckg, const UserCompGraph& graph,
+                       const Matrix& row_scores, int64_t num_items,
+                       std::vector<double>* item_scores) {
+  item_scores->assign(num_items, 0.0);
+  if (graph.layers.empty()) return;
+  const std::vector<int64_t>& final_nodes = graph.layers.back().nodes;
+  KUC_CHECK_EQ(row_scores.rows(), static_cast<int64_t>(final_nodes.size()));
+  for (size_t row = 0; row < final_nodes.size(); ++row) {
+    const int64_t item = ckg.ItemOfNode(final_nodes[row]);
+    if (item >= 0 && item < num_items) {
+      (*item_scores)[item] = row_scores.at(static_cast<int64_t>(row), 0);
+    }
+  }
+}
+
 Kucnet::Kucnet(const Dataset* dataset, const Ckg* ckg, const PprTable* ppr,
                KucnetOptions options)
     : dataset_(dataset),
@@ -260,11 +275,8 @@ Status Kucnet::TryForwardOnGraph(const ExecContext& ctx,
       h_final, tape.Param(const_cast<Parameter*>(&readout_)));  // Eq. (7)
   const Matrix& s = tape.value(scores);
 
-  result.item_scores.assign(dataset_->num_items, 0.0);
-  for (int64_t item = 0; item < dataset_->num_items; ++item) {
-    const int64_t idx = result.graph.FinalIndexOf(ckg_->ItemNode(item));
-    if (idx >= 0) result.item_scores[item] = s.at(idx, 0);
-  }
+  ReadoutItemScores(*ckg_, result.graph, s, dataset_->num_items,
+                    &result.item_scores);
 
   // Attribute edges for interpretability.
   std::vector<int64_t> prev_nodes = {result.graph.user_node};

@@ -70,6 +70,14 @@ struct KucnetForward {
   std::vector<AttributedEdge> edges;       ///< all edges with attention weights
 };
 
+/// Algorithm 1's readout: item i takes `row_scores(row, 0)` from the
+/// final-layer row whose node is ckg.ItemNode(i), or 0 (h = 0) when it is
+/// unreachable. One pass over the final layer's rows; `*item_scores` gets
+/// `num_items` values.
+void ReadoutItemScores(const Ckg& ckg, const UserCompGraph& graph,
+                       const Matrix& row_scores, int64_t num_items,
+                       std::vector<double>* item_scores);
+
 /// One unit of a batched forward (Kucnet::TryForwardMany): the user, the
 /// per-request cancellation context, and the caller-owned in/out slot.
 struct KucnetForwardWork {

@@ -2,9 +2,8 @@
 #define KUCNET_GRAPH_COMPGRAPH_H_
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/ckg.h"
@@ -74,9 +73,21 @@ struct UserCompGraph {
   std::unordered_map<int64_t, int64_t> final_index;  ///< node -> dense index
 };
 
-/// Scores nodes for PPR pruning; must return a value for every node id
-/// (0 for unranked nodes is fine).
-using NodeScoreFn = std::function<real_t(int64_t)>;
+/// One user's PPR scores for pruning: a run of (node, score) entries sorted
+/// by node id, viewing storage (a PprTable run) that must outlive it. A node
+/// without an entry scores 0. CompGraphBuilder scatters the run into a dense
+/// per-thread array instead of searching it per candidate.
+struct NodeScoreFn {
+  std::span<const uint32_t> nodes;  ///< strictly ascending node ids
+  std::span<const real_t> scores;   ///< scores[k] belongs to nodes[k]
+
+  /// Score of `node` by binary search (0 if it has no entry).
+  real_t operator()(int64_t node) const;
+
+  /// out[k] = score of node `first + k` for every k < out.size(), in one
+  /// pass over the entries in that node range (0 where there is none).
+  void ReadRange(int64_t first, std::span<real_t> out) const;
+};
 
 /// A (user_node, item_node) interact edge to hide while building, used to
 /// drop the positive target edges of the current training batch so the model
@@ -114,6 +125,11 @@ class CompGraphBuilder {
   /// "subgraph") once per expanded head node, so a request deadline or
   /// injected fault abandons the expansion instead of materializing every
   /// layer. On cancellation `*out` is reset and the status returned.
+  ///
+  /// Candidate scores and each layer's node index live in a per-thread dense
+  /// scratch (12 B × num_nodes, kept for the thread's lifetime at the largest
+  /// graph it has built on) that is all-zero between builds: no hash lookup
+  /// per candidate or per kept edge.
   Status TryBuild(int64_t user_node, const NodeScoreFn* score, Rng* rng,
                   const std::vector<ExcludedPair>& excluded,
                   const ExecContext& ctx, UserCompGraph* out) const;
@@ -122,6 +138,14 @@ class CompGraphBuilder {
   const Ckg* ckg_;
   CompGraphOptions options_;
 };
+
+namespace compgraph_internal {
+
+/// True when the calling thread's build scratch reads all-zero, as it must
+/// between builds (for tests).
+bool ThisThreadScratchIsClear();
+
+}  // namespace compgraph_internal
 
 }  // namespace kucnet
 

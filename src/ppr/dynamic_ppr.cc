@@ -218,11 +218,4 @@ real_t DynamicPprTable::Score(int64_t user, int64_t node) const {
   return MapValue(Estimate(user), node);
 }
 
-PprTable DynamicPprTable::ToTable() const {
-  std::vector<std::unordered_map<int64_t, real_t>> vectors;
-  vectors.reserve(users_.size());
-  for (const UserState& state : users_) vectors.push_back(state.estimate);
-  return PprTable::FromVectors(std::move(vectors));
-}
-
 }  // namespace kucnet

@@ -84,10 +84,6 @@ class DynamicPprTable {
   real_t Score(int64_t user, int64_t node) const;
   int64_t num_users() const { return static_cast<int64_t>(users_.size()); }
 
-  /// Copies the estimates into a PprTable for consumers of the static
-  /// interface (RecServer, CompGraphBuilder).
-  PprTable ToTable() const;
-
   const PprRepairStats& last_repair_stats() const { return repair_stats_; }
   real_t alpha() const { return options_.alpha; }
   real_t epsilon() const { return options_.epsilon; }

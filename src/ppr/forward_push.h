@@ -40,6 +40,17 @@ namespace kucnet::ppr_internal {
 
 using PprMap = std::unordered_map<int64_t, real_t>;
 
+/// One entry of a PprTable run.
+struct NodeScore {
+  uint32_t node;
+  real_t score;
+};
+
+/// Sorts `run` by node id (ids must be distinct): a least-significant-digit
+/// radix sort, 11 bits a pass, that skips the passes in which every node
+/// has the same digit. `tmp` is scratch of any size.
+void SortByNode(std::vector<NodeScore>* run, std::vector<NodeScore>* tmp);
+
 struct PushSlot {
   real_t residual = 0.0;
   real_t estimate = 0.0;
@@ -115,6 +126,9 @@ class PushScratch {
 
   /// Writes every pushed node's estimate into `out`, in first-push order.
   void WriteEstimates(PprMap* out) const;
+  /// Replaces `*run` with every pushed node and its estimate, sorted by
+  /// node id: the run a PprTable stores.
+  void WriteSortedRun(std::vector<NodeScore>* run) const;
   /// Writes every touched node's residual (zeros included) into `out`, in
   /// first-touch order. Only pushes begun with a residual map record their
   /// touches; a fresh push discards its residual.

@@ -59,35 +59,52 @@ struct PprTableOptions {
 
 /// Precomputed PPR vectors for every user (the paper's preprocessing stage;
 /// Table VI reports its cost separately from training/inference).
+///
+/// One arena holds every vector: user u's entries are positions
+/// [offsets[u], offsets[u + 1]) of a node array and a parallel score array,
+/// sorted by node id. Memory is exactly 8 B × (users + 1) for the offsets
+/// plus 12 B per entry (u32 node, real_t score); see MemoryBytes().
+/// Extraction never searches a run: CompGraphBuilder scatters it into a
+/// dense per-thread array, and item scores are read in one pass over the
+/// run's item-node range (NodeScoreFn::ReadRange).
 class PprTable {
  public:
-  /// Computes vectors for all users, in parallel when a pool is given.
+  /// Computes vectors for all users, in parallel when a pool is given. Each
+  /// push's estimates go from the push scratch into the arena as a sorted
+  /// run; the result does not depend on the pool.
   static PprTable Compute(const Ckg& ckg,
                           PprTableOptions options = PprTableOptions(),
                           ThreadPool* pool = nullptr);
 
-  /// Wraps externally-computed per-user vectors (vector index = user id).
-  /// The streaming path uses this to hand incrementally-repaired estimates
-  /// (ppr/dynamic_ppr.h) to components that consume a PprTable.
+  /// Wraps externally-computed per-user vectors (vector index = user id),
+  /// converting each map into a sorted run. Node ids must fit in 32 bits.
   static PprTable FromVectors(
       std::vector<std::unordered_map<int64_t, real_t>> vectors);
 
-  /// PPR score of `node` from `user`'s perspective (0 if unranked).
+  /// PPR score of `node` from `user`'s perspective (0 if unranked), by a
+  /// binary search over the user's run.
   real_t Score(int64_t user, int64_t node) const;
 
-  /// The sparse score vector of a user.
-  const std::unordered_map<int64_t, real_t>& Vector(int64_t user) const;
-
-  /// Adapter for CompGraphBuilder pruning.
+  /// The user's run, for CompGraphBuilder pruning and range reads.
   NodeScoreFn ScoreFn(int64_t user) const;
 
-  int64_t num_users() const { return static_cast<int64_t>(vectors_.size()); }
+  int64_t num_users() const {
+    return static_cast<int64_t>(offsets_.size()) - 1;
+  }
+  /// Entries over all users.
+  int64_t num_entries() const { return static_cast<int64_t>(nodes_.size()); }
+
+  /// Bytes the arena holds: 8·(num_users + 1) + 12·num_entries, exactly
+  /// (the arrays are allocated at their final size).
+  int64_t MemoryBytes() const;
 
   /// Wall-clock seconds spent in Compute() (Table VI's "PPR" row).
   double compute_seconds() const { return compute_seconds_; }
 
  private:
-  std::vector<std::unordered_map<int64_t, real_t>> vectors_;
+  std::vector<uint64_t> offsets_ = {0};
+  std::vector<uint32_t> nodes_;
+  std::vector<real_t> scores_;
   double compute_seconds_ = 0.0;
 };
 

@@ -429,10 +429,8 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
     const Status status = job->fallback_ctx.Check("heuristic");
     if (status.ok() && request.user >= 0 &&
         request.user < ppr_->num_users()) {
-      std::vector<double> scores(dataset_->num_items, 0.0);
-      for (int64_t item = 0; item < dataset_->num_items; ++item) {
-        scores[item] = ppr_->Score(request.user, ckg_->ItemNode(item));
-      }
+      std::vector<double> scores(dataset_->num_items);
+      ppr_->ScoreFn(request.user).ReadRange(ckg_->ItemNode(0), scores);
       if (RankInto(request.user, scores, job->top_n, &job->response)) {
         job->served = true;
         job->response.tier = ServeTier::kHeuristic;

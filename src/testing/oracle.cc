@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/finite.h"
 #include "util/logging.h"
@@ -234,6 +235,104 @@ OraclePprResult OracleStreamRecompute(const DynamicCkg& graph, int64_t user,
                                       real_t alpha, real_t epsilon) {
   const Ckg rebuilt = graph.Rebuild();
   return OraclePprPush(rebuilt, rebuilt.UserNode(user), alpha, epsilon);
+}
+
+// ---- User-centric computation graph ----------------------------------------
+
+UserCompGraph OracleUserCompGraph(
+    const Ckg& ckg, const CompGraphOptions& options, int64_t user_node,
+    const std::function<real_t(int64_t)>* score, Rng* rng,
+    const std::vector<ExcludedPair>& excluded) {
+  KUC_CHECK_GE(user_node, 0);
+  KUC_CHECK_LT(user_node, ckg.num_nodes());
+  const int64_t k_limit = options.max_edges_per_node;
+  const bool prune = k_limit > 0 && options.prune != PruneMode::kNone;
+  const bool by_ppr = prune && options.prune == PruneMode::kPpr;
+  if (by_ppr) KUC_CHECK(score != nullptr);
+  if (prune && options.prune == PruneMode::kRandom) KUC_CHECK(rng != nullptr);
+
+  auto pack = [](int64_t a, int64_t b) {
+    return (static_cast<uint64_t>(a) << 32) | static_cast<uint64_t>(b);
+  };
+  std::unordered_set<uint64_t> excluded_set;
+  for (const auto& pair : excluded) {
+    excluded_set.insert(pack(pair.user_node, pair.item_node));
+    excluded_set.insert(pack(pair.item_node, pair.user_node));
+  }
+  const int64_t interact = Ckg::kInteractRelation;
+  const int64_t interact_inv = ckg.InverseRelation(interact);
+
+  struct Candidate {
+    int64_t rel;
+    int64_t dst;
+    real_t score;
+  };
+  UserCompGraph graph;
+  graph.user_node = user_node;
+  graph.layers.resize(options.depth);
+  std::vector<int64_t> prev_nodes = {user_node};
+  for (int32_t l = 0; l < options.depth; ++l) {
+    CompLayer& layer = graph.layers[l];
+    std::unordered_map<int64_t, int64_t> dst_index;
+    auto index_of = [&](int64_t node) {
+      const auto [it, inserted] =
+          dst_index.emplace(node, static_cast<int64_t>(layer.nodes.size()));
+      if (inserted) layer.nodes.push_back(node);
+      return it->second;
+    };
+    for (size_t si = 0; si < prev_nodes.size(); ++si) {
+      const int64_t src = prev_nodes[si];
+      if (options.self_loops) {
+        layer.src_index.push_back(static_cast<int64_t>(si));
+        layer.rel.push_back(ckg.self_loop_relation());
+        layer.dst_index.push_back(index_of(src));
+      }
+      const auto rels = ckg.OutRelations(src);
+      const auto dsts = ckg.OutNeighbors(src);
+      std::vector<Candidate> candidates;
+      for (size_t e = 0; e < dsts.size(); ++e) {
+        const bool interact_edge =
+            rels[e] == interact || rels[e] == interact_inv;
+        if (interact_edge && excluded_set.count(pack(src, dsts[e])) > 0) {
+          continue;
+        }
+        candidates.push_back(
+            {rels[e], dsts[e], by_ppr ? (*score)(dsts[e]) : 0.0});
+      }
+      if (prune && static_cast<int64_t>(candidates.size()) > k_limit) {
+        if (by_ppr) {
+          // Top-K by tail score, ties by (dst, rel). nth_element with this
+          // comparator, as the builder uses: the kept set is the same and
+          // so is its order, which fixes layer.nodes' insertion order.
+          std::nth_element(candidates.begin(), candidates.begin() + k_limit,
+                           candidates.end(),
+                           [](const Candidate& a, const Candidate& b) {
+                             if (a.score != b.score) return a.score > b.score;
+                             if (a.dst != b.dst) return a.dst < b.dst;
+                             return a.rel < b.rel;
+                           });
+          candidates.resize(k_limit);
+        } else {
+          std::vector<Candidate> kept;
+          for (const int64_t idx : rng->SampleWithoutReplacement(
+                   static_cast<int64_t>(candidates.size()), k_limit)) {
+            kept.push_back(candidates[idx]);
+          }
+          candidates = std::move(kept);
+        }
+      }
+      for (const Candidate& c : candidates) {
+        layer.src_index.push_back(static_cast<int64_t>(si));
+        layer.rel.push_back(c.rel);
+        layer.dst_index.push_back(index_of(c.dst));
+      }
+    }
+    prev_nodes = layer.nodes;
+  }
+  for (size_t i = 0; i < prev_nodes.size(); ++i) {
+    graph.final_index.emplace(prev_nodes[i], static_cast<int64_t>(i));
+  }
+  return graph;
 }
 
 // ---- CKG structure -----------------------------------------------------------

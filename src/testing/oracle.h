@@ -3,14 +3,17 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "graph/ckg.h"
+#include "graph/compgraph.h"
 #include "graph/dynamic_ckg.h"
 #include "tensor/matrix.h"
+#include "util/rng.h"
 
 /// \file
 /// Differential-testing oracles: deliberately naive, single-threaded scalar
@@ -129,6 +132,21 @@ OracleDensePpr OraclePprDense(const Ckg& ckg, int64_t source, real_t alpha,
 /// the `stream` diff_fuzz subsystem enforces.
 OraclePprResult OracleStreamRecompute(const DynamicCkg& graph, int64_t user,
                                       real_t alpha, real_t epsilon);
+
+// ---- User-centric computation graph ----------------------------------------
+
+/// The pruned user-centric expansion of Sec. IV-C written with hash maps: an
+/// `unordered_set` of excluded pairs, a `std::function` score per candidate
+/// tail and an `unordered_map` from node to dense index per layer.
+/// CompGraphBuilder::Build with the same options, run, rng state and
+/// exclusions must produce the identical graph: every layer's src_index,
+/// rel, dst_index and nodes (first-insertion order), and final_index.
+/// `score` is required iff options.prune == kPpr with K > 0, `rng` iff
+/// kRandom with K > 0.
+UserCompGraph OracleUserCompGraph(
+    const Ckg& ckg, const CompGraphOptions& options, int64_t user_node,
+    const std::function<real_t(int64_t)>* score, Rng* rng,
+    const std::vector<ExcludedPair>& excluded = {});
 
 // ---- Ranking / metrics -------------------------------------------------------
 

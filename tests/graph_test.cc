@@ -303,10 +303,10 @@ TEST(CompGraphTest, PprPruningKeepsHighestScoredTails) {
   opts.max_edges_per_node = 1;
   opts.prune = PruneMode::kPpr;
   CompGraphBuilder builder(&g, opts);
-  // Score item 1's node highest.
-  NodeScoreFn score = [&](int64_t node) {
-    return node == g.ItemNode(1) ? 1.0 : 0.0;
-  };
+  // Score item 1's node highest: a one-entry run, every other node 0.
+  const uint32_t scored_node = static_cast<uint32_t>(g.ItemNode(1));
+  const real_t scored_value = 1.0;
+  const NodeScoreFn score{{&scored_node, 1}, {&scored_value, 1}};
   UserCompGraph cg = builder.Build(g.UserNode(0), &score);
   ASSERT_EQ(cg.layers[0].num_edges(), 1);
   EXPECT_EQ(cg.layers[0].nodes[cg.layers[0].dst_index[0]], g.ItemNode(1));

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -79,6 +80,38 @@ TEST(KucnetTest, ScoreShapesAndUnreachableZero) {
   for (int64_t i = 0; i < f.dataset.num_items; ++i) {
     if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) < 0) {
       EXPECT_EQ(scores[i], 0.0) << "item " << i;
+    }
+  }
+}
+
+// The readout walks the final layer's rows once. It must give every user
+// exactly what a per-item FinalIndexOf lookup gives, and exactly +0.0 to
+// every item the graph does not reach.
+TEST(KucnetTest, ReadoutEqualsPerItemFinalIndexLookup) {
+  Fixture f(SplitKind::kTraditional, SmallOptions());
+  const auto bits = [](double x) {
+    uint64_t b;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+  };
+  Rng rng(5);
+  for (int64_t user = 0; user < f.dataset.num_users; ++user) {
+    const KucnetForward fwd = f.model->Forward(user);
+    const UserCompGraph& graph = fwd.graph;
+    Matrix rows(graph.FinalSize(), 1);
+    for (int64_t r = 0; r < rows.rows(); ++r) rows.at(r, 0) = rng.Normal();
+    std::vector<double> got;
+    ReadoutItemScores(f.ckg, graph, rows, f.dataset.num_items, &got);
+    ASSERT_EQ(static_cast<int64_t>(got.size()), f.dataset.num_items);
+    ASSERT_EQ(fwd.item_scores.size(), got.size());
+    for (int64_t i = 0; i < f.dataset.num_items; ++i) {
+      const int64_t idx = graph.FinalIndexOf(f.ckg.ItemNode(i));
+      const double want = idx >= 0 ? rows.at(idx, 0) : 0.0;
+      EXPECT_EQ(bits(got[i]), bits(want)) << "user " << user << " item " << i;
+      if (idx < 0) {
+        EXPECT_EQ(bits(fwd.item_scores[i]), bits(0.0))
+            << "user " << user << " item " << i;
+      }
     }
   }
 }

@@ -8,7 +8,9 @@
 
 #include "graph/ckg.h"
 #include "graph/dynamic_ckg.h"
+#include "data/synthetic.h"
 #include "ppr/dynamic_ppr.h"
+#include "ppr/forward_push.h"
 #include "ppr/ppr.h"
 #include "testing/fuzz.h"
 #include "testing/oracle.h"
@@ -159,6 +161,23 @@ TEST(PprTest, PushMassAtMostOne) {
   EXPECT_GT(total, 0.9);  // epsilon small enough to capture most mass
 }
 
+// Two tables hold the same runs: per user, the same nodes in the same
+// (ascending) order with bit-identical scores.
+void ExpectIdenticalRuns(const PprTable& actual, const PprTable& expected,
+                         const std::string& what) {
+  ASSERT_EQ(actual.num_users(), expected.num_users()) << what;
+  for (int64_t u = 0; u < expected.num_users(); ++u) {
+    const NodeScoreFn a = actual.ScoreFn(u);
+    const NodeScoreFn b = expected.ScoreFn(u);
+    ASSERT_EQ(a.nodes.size(), b.nodes.size()) << what << " user " << u;
+    for (size_t k = 0; k < b.nodes.size(); ++k) {
+      ASSERT_EQ(a.nodes[k], b.nodes[k]) << what << " user " << u;
+      EXPECT_EQ(testing::UlpDistance(a.scores[k], b.scores[k]), 0u)
+          << what << " user " << u << " node " << b.nodes[k];
+    }
+  }
+}
+
 TEST(PprTableTest, SerialMatchesParallel) {
   Ckg g = SimpleRandomCkg(7);
   PprTableOptions opts;
@@ -166,17 +185,7 @@ TEST(PprTableTest, SerialMatchesParallel) {
   PprTable serial = PprTable::Compute(g, opts, nullptr);
   ThreadPool pool(4);
   PprTable parallel = PprTable::Compute(g, opts, &pool);
-  ASSERT_EQ(serial.num_users(), parallel.num_users());
-  for (int64_t u = 0; u < serial.num_users(); ++u) {
-    const auto& a = serial.Vector(u);
-    const auto& b = parallel.Vector(u);
-    ASSERT_EQ(a.size(), b.size()) << "user " << u;
-    for (const auto& [node, value] : a) {
-      ASSERT_EQ(b.count(node), 1u) << "user " << u << " node " << node;
-      EXPECT_EQ(testing::UlpDistance(value, b.at(node)), 0u)
-          << "user " << u << " node " << node;
-    }
-  }
+  ExpectIdenticalRuns(parallel, serial, "4 threads");
   EXPECT_GE(serial.compute_seconds(), 0.0);
 }
 
@@ -211,6 +220,176 @@ TEST(PprTableTest, ScoreFnMatchesScore) {
   // Unranked nodes score 0 (node id outside any vector entry).
   EXPECT_EQ(table.Score(0, g.num_nodes() - 1),
             table.ScoreFn(0)(g.num_nodes() - 1));
+}
+
+// More users than one Compute round pushes (64), so runs from several
+// rounds are appended.
+Ckg ManyUserCkg() { return SimpleRandomCkg(11, 150, 40, 20); }
+
+TEST(PprTableTest, RunsAreSortedAndMatchTheOraclePushForEveryPool) {
+  const Ckg g = ManyUserCkg();
+  PprTableOptions opts;
+  opts.epsilon = 1e-7;
+  const PprTable serial = PprTable::Compute(g, opts, nullptr);
+  ASSERT_EQ(serial.num_users(), g.num_users());
+  for (int64_t u = 0; u < g.num_users(); ++u) {
+    const auto oracle =
+        testing::OraclePprPush(g, g.UserNode(u), opts.alpha, opts.epsilon);
+    const NodeScoreFn run = serial.ScoreFn(u);
+    ASSERT_EQ(run.nodes.size(), oracle.estimate.size()) << "user " << u;
+    for (size_t k = 0; k < run.nodes.size(); ++k) {
+      if (k > 0) {
+        ASSERT_LT(run.nodes[k - 1], run.nodes[k]) << "user " << u;
+      }
+      const auto it = oracle.estimate.find(run.nodes[k]);
+      ASSERT_NE(it, oracle.estimate.end()) << "user " << u;
+      EXPECT_EQ(testing::UlpDistance(run.scores[k], it->second), 0u)
+          << "user " << u << " node " << run.nodes[k];
+    }
+  }
+  for (const int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    ExpectIdenticalRuns(PprTable::Compute(g, opts, &pool), serial,
+                        std::to_string(threads) + " threads");
+  }
+}
+
+// Runs on a synthetic dataset are long: hundreds of entries each.
+TEST(PprTableTest, LongRunsMatchTheOraclePush) {
+  Rng rng(7);
+  const Ckg g = TraditionalSplit(GenerateSynthetic(SynthLastFmConfig()).raw,
+                                 0.2, rng)
+                    .BuildCkg();
+  ThreadPool pool(2);
+  const PprTable table = PprTable::Compute(g, PprTableOptions(), &pool);
+  size_t longest = 0;
+  for (int64_t u = 0; u < g.num_users(); u += 15) {
+    const auto oracle = testing::OraclePprPush(g, g.UserNode(u), 0.15, 1e-6);
+    const NodeScoreFn run = table.ScoreFn(u);
+    longest = std::max(longest, run.nodes.size());
+    ASSERT_EQ(run.nodes.size(), oracle.estimate.size()) << "user " << u;
+    for (size_t k = 0; k < run.nodes.size(); ++k) {
+      if (k > 0) {
+        ASSERT_LT(run.nodes[k - 1], run.nodes[k]) << "user " << u;
+      }
+      const auto it = oracle.estimate.find(run.nodes[k]);
+      ASSERT_NE(it, oracle.estimate.end()) << "user " << u;
+      EXPECT_EQ(testing::UlpDistance(run.scores[k], it->second), 0u)
+          << "user " << u << " node " << run.nodes[k];
+    }
+  }
+  EXPECT_GT(longest, 256u);
+}
+
+TEST(PprTableTest, SortByNodeEqualsComparisonSort) {
+  Rng rng(19);
+  for (const int64_t size : {0, 1, 255, 256, 5000}) {
+    for (const uint32_t span : {300u, 70000u, 4294967295u}) {
+      std::vector<ppr_internal::NodeScore> run, tmp;
+      std::unordered_map<uint32_t, real_t> seen;
+      while (static_cast<int64_t>(run.size()) < std::min<int64_t>(size, span)) {
+        const auto node = static_cast<uint32_t>(rng.Uniform() * span);
+        if (seen.emplace(node, rng.Normal()).second) {
+          run.push_back({node, seen[node]});
+        }
+      }
+      std::vector<ppr_internal::NodeScore> want = run;
+      std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+        return a.node < b.node;
+      });
+      ppr_internal::SortByNode(&run, &tmp);
+      ASSERT_EQ(run.size(), want.size());
+      for (size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(run[k].node, want[k].node) << size << " " << span;
+        ASSERT_EQ(run[k].score, want[k].score) << size << " " << span;
+      }
+    }
+  }
+}
+
+TEST(PprTableTest, FromVectorsRoundTrips) {
+  const Ckg g = ManyUserCkg();
+  const PprTable computed = PprTable::Compute(g);
+  std::vector<std::unordered_map<int64_t, real_t>> vectors;
+  for (int64_t u = 0; u < g.num_users(); ++u) {
+    vectors.push_back(PprForwardPush(g, g.UserNode(u)));
+  }
+  const auto maps = vectors;
+  const PprTable wrapped = PprTable::FromVectors(std::move(vectors));
+  ExpectIdenticalRuns(wrapped, computed, "FromVectors vs Compute");
+  for (int64_t u = 0; u < g.num_users(); ++u) {
+    std::unordered_map<int64_t, real_t> back;
+    const NodeScoreFn run = wrapped.ScoreFn(u);
+    for (size_t k = 0; k < run.nodes.size(); ++k) {
+      back[run.nodes[k]] = run.scores[k];
+    }
+    ASSERT_EQ(back.size(), maps[u].size()) << "user " << u;
+    for (const auto& [node, value] : maps[u]) {
+      ASSERT_EQ(back.count(node), 1u) << "user " << u << " node " << node;
+      EXPECT_EQ(testing::UlpDistance(back.at(node), value), 0u)
+          << "user " << u << " node " << node;
+    }
+  }
+  // Empty vectors give empty runs; an empty list gives an empty table.
+  const PprTable empty_runs = PprTable::FromVectors({{}, {{3, 0.5}}, {}});
+  EXPECT_EQ(empty_runs.num_users(), 3);
+  EXPECT_EQ(empty_runs.ScoreFn(0).nodes.size(), 0u);
+  EXPECT_EQ(empty_runs.Score(1, 3), 0.5);
+  EXPECT_EQ(PprTable::FromVectors({}).num_users(), 0);
+}
+
+TEST(PprTableTest, AbsentNodesScoreZero) {
+  const PprTable table = PprTable::FromVectors({{{2, 0.25}, {7, 0.5}}});
+  for (const int64_t node : {-1, 0, 1, 3, 6, 8, 1 << 20}) {
+    EXPECT_EQ(table.Score(0, node), 0.0) << "node " << node;
+  }
+  EXPECT_EQ(table.Score(0, 2), 0.25);
+  EXPECT_EQ(table.Score(0, 7), 0.5);
+}
+
+TEST(PprTableTest, RangeReadEqualsPerNodeScore) {
+  const Ckg g = ManyUserCkg();
+  const PprTable table = PprTable::Compute(g);
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {g.ItemNode(0), g.num_items()},  // the item scores
+      {0, g.num_nodes()},              // everything
+      {g.num_nodes() - 3, 10},         // runs past the last node
+      {5, 0},                          // empty
+      {g.num_nodes() + 4, 3}};         // beyond every entry
+  for (int64_t u = 0; u < g.num_users(); ++u) {
+    for (const auto& [first, count] : ranges) {
+      std::vector<real_t> got(count, -1.0);
+      table.ScoreFn(u).ReadRange(first, got);
+      for (int64_t k = 0; k < count; ++k) {
+        EXPECT_EQ(testing::UlpDistance(got[k], table.Score(u, first + k)), 0u)
+            << "user " << u << " node " << first + k;
+      }
+    }
+  }
+}
+
+// The arena's memory is asserted, not implied: 8 B per offset (users + 1)
+// and 12 B per entry, with nothing over-allocated.
+TEST(PprTableTest, MemoryBytesIsEightPerUserPlusTwelvePerEntry) {
+  const auto expected = [](const PprTable& t) {
+    return 8 * (t.num_users() + 1) + 12 * t.num_entries();
+  };
+  const Ckg g = ManyUserCkg();
+  const PprTable computed = PprTable::Compute(g);
+  int64_t entries = 0;
+  for (int64_t u = 0; u < g.num_users(); ++u) {
+    entries += static_cast<int64_t>(computed.ScoreFn(u).nodes.size());
+  }
+  EXPECT_EQ(computed.num_entries(), entries);
+  EXPECT_GT(entries, g.num_users());
+  EXPECT_EQ(computed.MemoryBytes(), expected(computed));
+  ThreadPool pool(2);
+  const PprTable pooled = PprTable::Compute(g, PprTableOptions(), &pool);
+  EXPECT_EQ(pooled.MemoryBytes(), expected(pooled));
+  const PprTable wrapped =
+      PprTable::FromVectors({{{1, 0.5}, {4, 0.25}}, {}, {{0, 1.0}}});
+  EXPECT_EQ(wrapped.MemoryBytes(), 8 * 4 + 12 * 3);
+  EXPECT_EQ(PprTable().MemoryBytes(), 8);
 }
 
 TEST(PprTableTest, UsersNeighborhoodRanksAboveFarNodes) {

@@ -486,7 +486,11 @@ TEST(RecServerFaultSweepTest, UserOutsidePprTableSkipsHeuristicWithReason) {
   // preprocessing.
   std::vector<std::unordered_map<int64_t, real_t>> vectors;
   for (int64_t u = 0; u + 1 < full.num_users(); ++u) {
-    vectors.push_back(full.Vector(u));
+    const NodeScoreFn run = full.ScoreFn(u);
+    auto& vec = vectors.emplace_back();
+    for (size_t k = 0; k < run.nodes.size(); ++k) {
+      vec[run.nodes[k]] = run.scores[k];
+    }
   }
   PprTable truncated = PprTable::FromVectors(std::move(vectors));
   Kucnet model(&dataset, &ckg, &truncated, SmallModelOptions());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -410,8 +411,17 @@ TEST(DynamicPprTest, ComputeMatchesStaticTableBitwise) {
   const DynamicPprTable dynamic = DynamicPprTable::Compute(graph);
   ASSERT_EQ(dynamic.num_users(), reference.num_users());
   for (int64_t u = 0; u < dynamic.num_users(); ++u) {
-    // Same push discipline, same CSR iteration order: bitwise equality.
-    EXPECT_EQ(dynamic.Estimate(u), reference.Vector(u)) << "user " << u;
+    // Same push discipline, same CSR iteration order: bitwise equality of
+    // every entry, and no entry on either side that the other lacks.
+    const NodeScoreFn run = reference.ScoreFn(u);
+    ASSERT_EQ(dynamic.Estimate(u).size(), run.nodes.size()) << "user " << u;
+    for (size_t k = 0; k < run.nodes.size(); ++k) {
+      const auto it = dynamic.Estimate(u).find(run.nodes[k]);
+      ASSERT_NE(it, dynamic.Estimate(u).end())
+          << "user " << u << " node " << run.nodes[k];
+      EXPECT_EQ(std::memcmp(&it->second, &run.scores[k], sizeof(real_t)), 0)
+          << "user " << u << " node " << run.nodes[k];
+    }
   }
 }
 
