@@ -53,13 +53,15 @@ void RunDataset(const std::string& config_name, int64_t sample_k) {
     }
     {
       Stopwatch timer;
-      const KucnetForward fwd = unpruned_kucnet->Forward(user);
+      KucnetForward fwd;
+      KUC_CHECK_OK(unpruned_kucnet->TryForward(user, ExecContext(), &fwd));
       uc_ms += timer.Millis();
       uc_edges += static_cast<double>(fwd.graph.TotalEdges());
     }
     {
       Stopwatch timer;
-      const KucnetForward fwd = pruned_kucnet->Forward(user);
+      KucnetForward fwd;
+      KUC_CHECK_OK(pruned_kucnet->TryForward(user, ExecContext(), &fwd));
       ppr_ms += timer.Millis();
       ppr_edges += static_cast<double>(fwd.graph.TotalEdges());
     }

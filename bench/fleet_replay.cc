@@ -134,8 +134,7 @@ ScenarioResult RunScenario(const Scenario& scenario,
     at_halfway = [&] { shard_faults.Kill(scenario.killed_shard); };
   } else if (!scenario.swap_checkpoint.empty()) {
     at_halfway = [&] {
-      const Status s = router.RollingSwap(scenario.swap_checkpoint);
-      KUC_CHECK(s.ok()) << "rolling swap failed: " << s.message();
+      KUC_CHECK_OK(router.RollingSwap(scenario.swap_checkpoint));
     };
   }
 
@@ -266,7 +265,7 @@ int Main(int argc, char** argv) {
   // Checkpoint for the rolling-swap scenario: the fleet's own weights, so
   // the swap exercises drain/reload/rewarm without changing behavior.
   const std::string swap_ckpt = json_path + ".swap.ckpt";
-  KUC_CHECK(TrySaveParameters(owned[0]->Params(), swap_ckpt).ok());
+  KUC_CHECK_OK(TrySaveParameters(owned[0]->Params(), swap_ckpt));
 
   std::vector<Scenario> scenarios;
   scenarios.push_back({.name = "steady_1x"});

@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/kucnet.h"
@@ -106,9 +108,14 @@ GraphFixture& SharedGraph() {
 void BM_PprForwardPush(benchmark::State& state) {
   const GraphFixture& f = SharedGraph();
   int64_t user = 0;
+  const PprTableOptions push;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        PprForwardPush(f.ckg, f.ckg.UserNode(user % f.ckg.num_users())));
+    std::unordered_map<int64_t, real_t> estimate;
+    KUC_CHECK_OK(TryPprForwardPush(f.ckg,
+                                   f.ckg.UserNode(user % f.ckg.num_users()),
+                                   push.alpha, push.epsilon, ExecContext(),
+                                   &estimate));
+    benchmark::DoNotOptimize(estimate);
     ++user;
   }
 }
@@ -118,8 +125,11 @@ void BM_BfsDistances(benchmark::State& state) {
   const GraphFixture& f = SharedGraph();
   int64_t user = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BfsDistances(f.ckg, f.ckg.UserNode(user % f.ckg.num_users()), 3));
+    std::vector<int32_t> dist;
+    KUC_CHECK_OK(TryBfsDistances(
+        f.ckg, f.ckg.UserNode(user % f.ckg.num_users()), 3, ExecContext(),
+        &dist));
+    benchmark::DoNotOptimize(dist);
     ++user;
   }
 }
@@ -137,9 +147,11 @@ void BM_BuildUserCompGraph(benchmark::State& state) {
   for (auto _ : state) {
     const int64_t u = user % f.ckg.num_users();
     const NodeScoreFn score = ppr->ScoreFn(u);
-    benchmark::DoNotOptimize(
-        builder.Build(f.ckg.UserNode(u),
-                      opts.prune == PruneMode::kPpr ? &score : nullptr));
+    UserCompGraph graph;
+    KUC_CHECK_OK(builder.TryBuild(
+        f.ckg.UserNode(u), opts.prune == PruneMode::kPpr ? &score : nullptr,
+        nullptr, {}, ExecContext(), &graph));
+    benchmark::DoNotOptimize(graph);
     ++user;
   }
 }

@@ -107,10 +107,13 @@ bool OutputsBitIdentical(const Kucnet& model, const bench::Workload& w) {
   const int64_t users = std::min<int64_t>(4, w.dataset.num_users);
   for (int64_t user = 0; user < users; ++user) {
     obs::SetEnabled(false);
-    const std::vector<double> off = model.Forward(user).item_scores;
+    KucnetForward off_forward, on_forward;
+    KUC_CHECK_OK(model.TryForward(user, ExecContext(), &off_forward));
     obs::SetEnabled(true);
-    const std::vector<double> on = model.Forward(user).item_scores;
+    KUC_CHECK_OK(model.TryForward(user, ExecContext(), &on_forward));
     obs::SetEnabled(false);
+    const std::vector<double>& off = off_forward.item_scores;
+    const std::vector<double>& on = on_forward.item_scores;
     if (off.size() != on.size() ||
         (!off.empty() && std::memcmp(off.data(), on.data(),
                                      off.size() * sizeof(double)) != 0)) {

@@ -51,8 +51,6 @@ namespace {
 constexpr int64_t kPprSampleUsers = 64;
 constexpr int64_t kServeRequests = 24;
 
-void CheckOk(const Status& st) { KUC_CHECK(st.ok()) << st.message(); }
-
 int64_t Percentile(std::vector<int64_t> values, double q) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());
@@ -165,12 +163,12 @@ int Run(const std::string& json_path, bool reduced) {
   ContainerResult container;
   {
     Stopwatch watch;
-    CheckOk(GenerateWebScaleContainer(fs, container_path, config));
+    KUC_CHECK_OK(GenerateWebScaleContainer(fs, container_path, config));
     container.generate_seconds =
         static_cast<double>(watch.ElapsedMicros()) / 1e6;
   }
   uint64_t file_bytes = 0;
-  CheckOk(fs.FileSize(container_path, &file_bytes));
+  KUC_CHECK_OK(fs.FileSize(container_path, &file_bytes));
   container.container_bytes = static_cast<int64_t>(file_bytes);
   std::printf("generated + saved in %.1fs (%.1f MB container)\n",
               container.generate_seconds,
@@ -182,7 +180,7 @@ int Run(const std::string& json_path, bool reduced) {
     Stopwatch watch;
     StoreLoadOptions options;
     options.use_mmap = false;
-    CheckOk(LoadCompactCkg(fs, container_path, options, &full, nullptr));
+    KUC_CHECK_OK(LoadCompactCkg(fs, container_path, options, &full, nullptr));
     container.load_full_ms = static_cast<double>(watch.ElapsedMicros()) / 1e3;
   }
 
@@ -195,11 +193,11 @@ int Run(const std::string& json_path, bool reduced) {
     options.use_mmap = true;
     options.verify_checksums = false;
     StoreLoadStats stats;
-    CheckOk(LoadCompactCkg(fs, container_path, options, &graph, &stats));
+    KUC_CHECK_OK(LoadCompactCkg(fs, container_path, options, &graph, &stats));
     container.load_mmap_ms = static_cast<double>(watch.ElapsedMicros()) / 1e3;
     container.mmap_backed = stats.mmap_backed;
   }
-  CheckOk(graph.ValidateTopology());
+  KUC_CHECK_OK(graph.ValidateTopology());
   container.nodes = graph.num_nodes();
   container.edges = graph.num_edges();
   container.compact_bytes = graph.bytes_resident();
@@ -225,13 +223,16 @@ int Run(const std::string& json_path, bool reduced) {
   LatencyResult ppr_lat;
   const int64_t ppr_users = std::min(kPprSampleUsers, config.num_users);
   std::vector<std::unordered_map<int64_t, real_t>> vectors(config.num_users);
+  const PprTableOptions push;
   {
     std::vector<int64_t> micros;
     int64_t total_entries = 0;
     for (int64_t k = 0; k < ppr_users; ++k) {
       const int64_t user = SampledUser(k, config.num_users);
       Stopwatch watch;
-      vectors[user] = PprForwardPush(graph, graph.UserNode(user));
+      KUC_CHECK_OK(TryPprForwardPush(graph, graph.UserNode(user), push.alpha,
+                                     push.epsilon, ExecContext(),
+                                     &vectors[user]));
       micros.push_back(watch.ElapsedMicros());
       total_entries += static_cast<int64_t>(vectors[user].size());
     }

@@ -210,7 +210,7 @@ int Main(int argc, char** argv) {
     const auto& [user, item] = workload.dataset.test[k];
     const int64_t applied_before = stream->stats().applied;
     Stopwatch repair_timer;
-    KUC_CHECK(stream->AppendInteraction(user, item).ok());
+    KUC_CHECK_OK(stream->AppendInteraction(user, item));
     const int64_t repair_elapsed = repair_timer.ElapsedMicros();
     const bool was_applied = stream->stats().applied > applied_before;
     if (was_applied) {

@@ -46,6 +46,7 @@
 // command with --resume true continues from the newest valid snapshot and
 // produces a final model bitwise identical to an uninterrupted run.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +56,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -68,6 +70,7 @@
 #include "store/container.h"
 #include "store/web_scale.h"
 #include "stream/streaming_ckg.h"
+#include "tensor/serialize.h"
 #include "train/trainer.h"
 #include "util/clock.h"
 #include "util/fs.h"
@@ -187,6 +190,16 @@ void MaybeExportObs(const std::map<std::string, std::string>& flags) {
   }
 }
 
+/// Loads the checkpoint at `path` into `model`; on failure prints why and
+/// returns false.
+bool LoadWeights(Kucnet* model, const std::string& path) {
+  const Status st = TryLoadParameters(model->Params(), path);
+  if (!st.ok()) {
+    std::fprintf(stderr, "cannot load checkpoint: %s\n", st.message().c_str());
+  }
+  return st.ok();
+}
+
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
   const std::string config_name = FlagOr(flags, "config", "synth-lastfm");
   const std::string split = FlagOr(flags, "split", "traditional");
@@ -208,9 +221,14 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
     // replay stream (`kucnet_cli stream` appends it as live updates).
     dataset = TemporalSplit(raw, synth.arrival_order, 0.8);
   } else {
-    KUC_CHECK(false) << "unknown split: " << split;
+    std::fprintf(stderr, "unknown split: %s\n%s", split.c_str(), kUsage);
+    return 2;
   }
-  SaveDataset(dataset, out);
+  const Status saved = TrySaveDataset(dataset, out);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "cannot save dataset: %s\n", saved.message().c_str());
+    return 1;
+  }
   std::printf("wrote %s to %s\n", dataset.Summary().c_str(), out.c_str());
   return 0;
 }
@@ -222,6 +240,14 @@ int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
   const std::string model_name = FlagOr(flags, "model", "KUCNet");
   const std::string ckpt = FlagOr(flags, "ckpt", "");
   const int epochs = std::stoi(FlagOr(flags, "epochs", "-1"));
+  const std::vector<std::string> models = AllModelNames();
+  if (std::find(models.begin(), models.end(), model_name) == models.end()) {
+    std::fprintf(stderr, "unknown model: %s\nvalid models:",
+                 model_name.c_str());
+    for (const auto& name : models) std::fprintf(stderr, " %s", name.c_str());
+    std::fprintf(stderr, "\n");
+    return 1;
+  }
 
   Dataset dataset;
   const Status loaded = TryLoadDataset(data_dir, &dataset);
@@ -242,6 +268,11 @@ int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
   ctx.kucnet.depth = std::stoi(FlagOr(flags, "depth", "3"));
   auto model = CreateModel(model_name, ctx);
   auto* kucnet = dynamic_cast<Kucnet*>(model.get());
+  if (!ckpt.empty() && kucnet == nullptr) {
+    std::fprintf(stderr,
+                 "--ckpt is only supported for KUCNet-family models\n");
+    return 1;
+  }
 
   if (train) {
     TrainOptions opts;
@@ -257,16 +288,17 @@ int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
     std::printf("%s: %s (trained %.1fs)\n", model_name.c_str(),
                 ToString(result.final_eval).c_str(), result.train_seconds);
     if (!ckpt.empty()) {
-      KUC_CHECK(kucnet != nullptr)
-          << "--ckpt is only supported for KUCNet-family models";
-      kucnet->SaveCheckpoint(ckpt);
+      const Status saved = TrySaveParameters(kucnet->Params(), ckpt);
+      if (!saved.ok()) {
+        std::fprintf(stderr, "cannot save checkpoint: %s\n",
+                     saved.message().c_str());
+        return 1;
+      }
       std::printf("checkpoint written to %s\n", ckpt.c_str());
     }
   } else {
     if (!ckpt.empty()) {
-      KUC_CHECK(kucnet != nullptr)
-          << "--ckpt is only supported for KUCNet-family models";
-      kucnet->LoadCheckpoint(ckpt);
+      if (!LoadWeights(kucnet, ckpt)) return 1;
       std::printf("loaded checkpoint %s\n", ckpt.c_str());
     }
     const EvalResult eval = EvaluateRanking(*model, dataset);
@@ -342,7 +374,9 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     for (int s = 0; s < shards; ++s) {
       owned.push_back(
           std::make_unique<Kucnet>(&dataset, &ckg, &ppr, model_opts));
-      if (!ckpt.empty()) owned.back()->LoadCheckpoint(ckpt);
+      if (!ckpt.empty() && !LoadWeights(owned.back().get(), ckpt)) {
+        return 1;
+      }
       models.push_back(owned.back().get());
     }
     if (!ckpt.empty()) {
@@ -400,7 +434,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 
   Kucnet model(&dataset, &ckg, &ppr, model_opts);
   if (!ckpt.empty()) {
-    model.LoadCheckpoint(ckpt);
+    if (!LoadWeights(&model, ckpt)) return 1;
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
   }
   RecServer server(&model, &dataset, &ckg, &ppr, server_opts);
@@ -628,10 +662,13 @@ int CmdWebScale(const std::map<std::string, std::string>& flags) {
   }
 
   const int64_t smoke_users = std::min(ppr_users, graph.num_users());
+  const PprTableOptions push;
   int64_t ppr_entries = 0;
+  std::unordered_map<int64_t, real_t> estimate;
   for (int64_t u = 0; u < smoke_users; ++u) {
-    ppr_entries +=
-        static_cast<int64_t>(PprForwardPush(graph, graph.UserNode(u)).size());
+    KUC_CHECK_OK(TryPprForwardPush(graph, graph.UserNode(u), push.alpha,
+                                   push.epsilon, ExecContext(), &estimate));
+    ppr_entries += static_cast<int64_t>(estimate.size());
   }
 
   const int64_t nodes = graph.num_nodes();

@@ -5,7 +5,6 @@
 
 #include "graph/subgraph.h"
 #include "obs/trace.h"
-#include "tensor/serialize.h"
 #include "util/finite.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -127,14 +126,15 @@ int64_t Kucnet::ParamCount() const {
   return total;
 }
 
-UserCompGraph Kucnet::BuildGraph(
-    int64_t user, Rng* rng, const std::vector<ExcludedPair>& excluded) const {
+Status Kucnet::BuildGraph(int64_t user, Rng* rng,
+                          const std::vector<ExcludedPair>& excluded,
+                          const ExecContext& ctx, UserCompGraph* out) const {
   const int64_t user_node = ckg_->UserNode(user);
   if (options_.prune == PruneMode::kPpr && options_.sample_k > 0) {
     const NodeScoreFn score = ppr_->ScoreFn(user);
-    return builder_.Build(user_node, &score, rng, excluded);
+    return builder_.TryBuild(user_node, &score, rng, excluded, ctx, out);
   }
-  return builder_.Build(user_node, nullptr, rng, excluded);
+  return builder_.TryBuild(user_node, nullptr, rng, excluded, ctx, out);
 }
 
 Var Kucnet::Activate(Tape& tape, Var x) const {
@@ -147,16 +147,6 @@ Var Kucnet::Activate(Tape& tape, Var x) const {
       return tape.Relu(x);
   }
   return x;
-}
-
-Var Kucnet::RunMessagePassing(
-    Tape& tape, const UserCompGraph& graph, bool training, Rng* rng,
-    std::vector<std::vector<double>>* attention_out) const {
-  Var h;
-  const Status status = TryRunMessagePassing(tape, graph, training, rng,
-                                             ExecContext(), attention_out, &h);
-  KUC_CHECK(status.ok()) << status.message();
-  return h;
 }
 
 Status Kucnet::TryRunMessagePassing(
@@ -221,13 +211,6 @@ Status Kucnet::TryRunMessagePassing(
   return Status::Ok();
 }
 
-KucnetForward Kucnet::Forward(int64_t user) const {
-  KucnetForward result;
-  const Status status = TryForward(user, ExecContext(), &result);
-  KUC_CHECK(status.ok()) << status.message();
-  return result;
-}
-
 Status Kucnet::TryForward(int64_t user, const ExecContext& ctx,
                           KucnetForward* out) const {
   KUC_RETURN_IF_ERROR(TryExtractGraph(user, ctx, out));
@@ -244,17 +227,7 @@ Status Kucnet::TryExtractGraph(int64_t user, const ExecContext& ctx,
   // Stage "ppr": fetching the pruning scores (a precomputed-table lookup
   // here; the push itself has its own in-loop checkpoints, see ppr/ppr.h).
   KUC_RETURN_IF_ERROR(ctx.Check("ppr"));
-  const int64_t user_node = ckg_->UserNode(user);
-  const bool use_ppr = options_.prune == PruneMode::kPpr && options_.sample_k > 0;
-  if (use_ppr) {
-    const NodeScoreFn score = ppr_->ScoreFn(user);
-    KUC_RETURN_IF_ERROR(
-        builder_.TryBuild(user_node, &score, &rng, {}, ctx, &result.graph));
-  } else {
-    KUC_RETURN_IF_ERROR(
-        builder_.TryBuild(user_node, nullptr, &rng, {}, ctx, &result.graph));
-  }
-  return Status::Ok();
+  return BuildGraph(user, &rng, {}, ctx, &result.graph);
 }
 
 Status Kucnet::TryForwardOnGraph(const ExecContext& ctx,
@@ -309,7 +282,9 @@ void Kucnet::TryForwardMany(std::vector<KucnetForwardWork>* work,
 }
 
 std::vector<double> Kucnet::ScoreItems(int64_t user) const {
-  std::vector<double> scores = Forward(user).item_scores;
+  KucnetForward forward;
+  KUC_CHECK_OK(TryForward(user, ExecContext(), &forward));
+  std::vector<double> scores = std::move(forward.item_scores);
   // Evaluation boundary: a non-finite score here (diverged weights, kernel
   // overflow) would silently corrupt every metric computed downstream.
   KUC_CHECK_FINITE(scores.data(), static_cast<int64_t>(scores.size()),
@@ -321,14 +296,17 @@ std::pair<double, int64_t> Kucnet::ScorePairOnUiGraph(int64_t user,
                                                       int64_t item) const {
   const int64_t user_node = ckg_->UserNode(user);
   const int64_t item_node = ckg_->ItemNode(item);
-  const LayeredEdges layered =
-      ExtractUiComputationGraph(*ckg_, user_node, item_node, options_.depth);
+  LayeredEdges layered;
+  KUC_CHECK_OK(TryExtractUiComputationGraph(*ckg_, user_node, item_node,
+                                            options_.depth, ExecContext(),
+                                            &layered));
   const int64_t edge_count = layered.TotalEdges();
   if (edge_count == 0) return {0.0, 0};
   UserCompGraph graph = FromLayeredEdges(layered.layers, user_node);
   Tape tape;
-  Var h_final =
-      RunMessagePassing(tape, graph, /*training=*/false, nullptr, nullptr);
+  Var h_final;
+  KUC_CHECK_OK(TryRunMessagePassing(tape, graph, /*training=*/false, nullptr,
+                                    ExecContext(), nullptr, &h_final));
   Var scores =
       tape.MatMul(h_final, tape.Param(const_cast<Parameter*>(&readout_)));
   const int64_t idx = graph.FinalIndexOf(item_node);
@@ -336,22 +314,16 @@ std::pair<double, int64_t> Kucnet::ScorePairOnUiGraph(int64_t user,
   return {score, edge_count};
 }
 
-void Kucnet::SaveCheckpoint(const std::string& path) {
-  SaveParameters(Params(), path);
-}
-
-void Kucnet::LoadCheckpoint(const std::string& path) {
-  LoadParameters(Params(), path);
-}
-
 Var Kucnet::BuildLoss(Tape& tape, int64_t user,
                       const std::vector<int64_t>& pos,
                       const std::vector<int64_t>& neg) {
   KUC_CHECK_EQ(pos.size(), neg.size());
   Rng rng(options_.seed ^ (0x51ab + static_cast<uint64_t>(user)));
-  UserCompGraph graph = BuildGraph(user, &rng, {});
-  Var h_final =
-      RunMessagePassing(tape, graph, /*training=*/false, nullptr, nullptr);
+  UserCompGraph graph;
+  KUC_CHECK_OK(BuildGraph(user, &rng, {}, ExecContext(), &graph));
+  Var h_final;
+  KUC_CHECK_OK(TryRunMessagePassing(tape, graph, /*training=*/false, nullptr,
+                                    ExecContext(), nullptr, &h_final));
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
   std::vector<int64_t> pos_idx, neg_idx;
   for (size_t k = 0; k < pos.size(); ++k) {
@@ -384,10 +356,12 @@ double Kucnet::TrainUser(int64_t user, Rng& rng, Tape& tape,
       excluded.push_back({ckg_->UserNode(user), ckg_->ItemNode(i)});
     }
   }
-  UserCompGraph graph = BuildGraph(user, &rng, excluded);
+  UserCompGraph graph;
+  KUC_CHECK_OK(BuildGraph(user, &rng, excluded, ExecContext(), &graph));
 
-  Var h_final =
-      RunMessagePassing(tape, graph, /*training=*/true, &rng, nullptr);
+  Var h_final;
+  KUC_CHECK_OK(TryRunMessagePassing(tape, graph, /*training=*/true, &rng,
+                                    ExecContext(), nullptr, &h_final));
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
 
   // Collect positive/negative pairs as gathers over all_scores. An

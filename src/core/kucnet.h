@@ -109,16 +109,14 @@ class Kucnet : public RankModel {
   double TrainEpoch(Rng& rng) override;
   std::vector<double> ScoreItems(int64_t user) const override;
 
-  /// Full forward pass on the user's pruned graph, with attention weights
-  /// (used by the explanation tooling and Fig. 6).
-  KucnetForward Forward(int64_t user) const;
-
-  /// Cancellable forward pass — the serving layer's full-quality tier. Hits
-  /// the `ctx` checkpoint at each stage boundary: "ppr" before the pruning
-  /// scores are fetched, "subgraph" per expanded head node during graph
-  /// construction, and "forward" before each message-passing layer. On
-  /// cancellation `*out` is reset and the checkpoint's status returned —
-  /// partial work is abandoned, never half-filled into `out`.
+  /// Full forward pass on the user's pruned graph, with attention weights —
+  /// the serving layer's full-quality tier, and what the explanation tooling
+  /// and Fig. 6 read. Hits the `ctx` checkpoint at each stage boundary:
+  /// "ppr" before the pruning scores are fetched, "subgraph" per expanded
+  /// head node during graph construction, and "forward" before each
+  /// message-passing layer. On cancellation `*out` is reset and the
+  /// checkpoint's status returned — partial work is abandoned, never
+  /// half-filled into `out`.
   Status TryForward(int64_t user, const ExecContext& ctx,
                     KucnetForward* out) const;
 
@@ -173,14 +171,6 @@ class Kucnet : public RankModel {
   std::vector<Parameter*> TrainableParams() override { return Params(); }
   Adam* MutableOptimizer() override { return &optimizer_; }
 
-  /// Writes the trained weights to `path` (see tensor/serialize.h; v2
-  /// format, atomic, checksummed).
-  void SaveCheckpoint(const std::string& path);
-
-  /// Restores weights saved by SaveCheckpoint from a model with identical
-  /// options; aborts on shape/name mismatch.
-  void LoadCheckpoint(const std::string& path);
-
  private:
   struct LayerParams {
     Parameter w;        ///< d x d  (W^l)
@@ -190,23 +180,21 @@ class Kucnet : public RankModel {
     Parameter attn_v;   ///< d_alpha x 1  (w^l_alpha)
   };
 
-  /// Runs L layers of Eq. (5)-(6) over `graph` on `tape`; returns the final
-  /// layer representations (nodes x d). Records attention weights into
-  /// `attention_out` (one vector per layer) when non-null.
-  Var RunMessagePassing(Tape& tape, const UserCompGraph& graph, bool training,
-                        Rng* rng,
-                        std::vector<std::vector<double>>* attention_out) const;
-
-  /// Cancellable RunMessagePassing: checks `ctx` (stage "forward") before
-  /// each layer, so at most one layer of compute is wasted past a deadline.
+  /// Runs L layers of Eq. (5)-(6) over `graph` on `tape`; `*out` gets the
+  /// final layer representations (nodes x d). Records attention weights into
+  /// `attention_out` (one vector per layer) when non-null. Checks `ctx`
+  /// (stage "forward") before each layer, so at most one layer of compute is
+  /// wasted past a deadline.
   Status TryRunMessagePassing(Tape& tape, const UserCompGraph& graph,
                               bool training, Rng* rng, const ExecContext& ctx,
                               std::vector<std::vector<double>>* attention_out,
                               Var* out) const;
 
-  /// Builds the pruned computation graph for a user.
-  UserCompGraph BuildGraph(int64_t user, Rng* rng,
-                           const std::vector<ExcludedPair>& excluded) const;
+  /// Builds the pruned computation graph for a user into `*out` (stage
+  /// "subgraph" per expanded head node).
+  Status BuildGraph(int64_t user, Rng* rng,
+                    const std::vector<ExcludedPair>& excluded,
+                    const ExecContext& ctx, UserCompGraph* out) const;
 
   /// One user's training contribution: samples positives/negatives from
   /// `rng`, builds the graph, records forward + backward on `tape`, and

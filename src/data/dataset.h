@@ -50,7 +50,8 @@ struct Dataset {
   std::vector<std::array<int64_t, 3>> user_kg;
 
   /// CKG over the *training* interactions plus the full KG — the graph every
-  /// model is allowed to see.
+  /// model is allowed to see. Aborts like Ckg::Build, for the same reason:
+  /// member initializers (in benchmark/ too) need an expression.
   Ckg BuildCkg() const;
 
   /// Training items per user (sorted).

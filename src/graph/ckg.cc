@@ -52,10 +52,8 @@ Ckg Ckg::Build(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
                const std::vector<std::array<int64_t, 3>>& kg_triplets,
                const std::vector<std::array<int64_t, 3>>& user_triplets) {
   Ckg g;
-  const Status status =
-      TryBuild(num_users, num_items, num_kg_nodes, num_kg_relations,
-               interactions, kg_triplets, user_triplets, &g);
-  KUC_CHECK(status.ok()) << status.message();
+  KUC_CHECK_OK(TryBuild(num_users, num_items, num_kg_nodes, num_kg_relations,
+                        interactions, kg_triplets, user_triplets, &g));
   return g;
 }
 

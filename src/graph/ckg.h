@@ -93,7 +93,8 @@ class Ckg {
       const std::vector<std::array<int64_t, 3>>& kg_triplets,
       const std::vector<std::array<int64_t, 3>>& user_triplets, Ckg* out);
 
-  /// Aborting TryBuild, for inputs the caller already validated.
+  /// Aborting TryBuild, for inputs the caller already validated. Kept as the
+  /// one aborting form beside a Try*: member initializers need an expression.
   static Ckg Build(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
                    int64_t num_kg_relations,
                    const std::vector<std::array<int64_t, 2>>& interactions,

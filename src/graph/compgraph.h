@@ -98,7 +98,7 @@ struct ExcludedPair {
 };
 
 /// Converts a per-pair layered computation graph (global-id edges from
-/// `ExtractUiComputationGraph`) into the dense-indexed `UserCompGraph` form
+/// `TryExtractUiComputationGraph`) into the dense-indexed `UserCompGraph` form
 /// so the same message-passing kernel can run on it. Used by the
 /// KUCNet-UI cost baseline of Fig. 6.
 UserCompGraph FromLayeredEdges(
@@ -112,19 +112,16 @@ class CompGraphBuilder {
 
   const CompGraphOptions& options() const { return options_; }
 
-  /// Builds the graph for `user_node`.
+  /// Builds the graph for `user_node` into `*out`.
   ///
   /// \param score  required iff prune == kPpr
   /// \param rng    required iff prune == kRandom
   /// \param excluded  interact edges (both directions) to hide
-  UserCompGraph Build(int64_t user_node, const NodeScoreFn* score = nullptr,
-                      Rng* rng = nullptr,
-                      const std::vector<ExcludedPair>& excluded = {}) const;
-
-  /// Cancellable Build: the expansion loop hits the `ctx` checkpoint (stage
-  /// "subgraph") once per expanded head node, so a request deadline or
-  /// injected fault abandons the expansion instead of materializing every
-  /// layer. On cancellation `*out` is reset and the status returned.
+  ///
+  /// The expansion loop hits the `ctx` checkpoint (stage "subgraph") once per
+  /// expanded head node, so a request deadline or injected fault abandons
+  /// the expansion instead of materializing every layer. On cancellation
+  /// `*out` is reset and the status returned.
   ///
   /// Candidate scores and each layer's node index live in a per-thread dense
   /// scratch (12 B × num_nodes, kept for the thread's lifetime at the largest

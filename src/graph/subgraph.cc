@@ -9,15 +9,6 @@
 
 namespace kucnet {
 
-std::vector<int32_t> BfsDistances(const Ckg& ckg, int64_t source,
-                                  int32_t max_depth) {
-  std::vector<int32_t> dist;
-  const Status status =
-      TryBfsDistances(ckg, source, max_depth, ExecContext(), &dist);
-  KUC_CHECK(status.ok()) << status.message();
-  return dist;
-}
-
 Status TryBfsDistances(const Ckg& ckg, int64_t source, int32_t max_depth,
                        const ExecContext& ctx, std::vector<int32_t>* out) {
   KUC_TRACE_SPAN("subgraph.bfs");
@@ -51,8 +42,9 @@ Status TryBfsDistances(const Ckg& ckg, int64_t source, int32_t max_depth,
 
 UiSubgraph ExtractUiSubgraph(const Ckg& ckg, int64_t user_node,
                              int64_t item_node, int32_t depth) {
-  const auto du = BfsDistances(ckg, user_node, depth);
-  const auto di = BfsDistances(ckg, item_node, depth);
+  std::vector<int32_t> du, di;
+  KUC_CHECK_OK(TryBfsDistances(ckg, user_node, depth, ExecContext(), &du));
+  KUC_CHECK_OK(TryBfsDistances(ckg, item_node, depth, ExecContext(), &di));
   UiSubgraph sg;
   std::vector<bool> in_set(ckg.num_nodes(), false);
   for (int64_t v = 0; v < ckg.num_nodes(); ++v) {
@@ -75,15 +67,6 @@ int64_t LayeredEdges::TotalEdges() const {
   int64_t total = 0;
   for (const auto& layer : layers) total += static_cast<int64_t>(layer.size());
   return total;
-}
-
-LayeredEdges ExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,
-                                       int64_t item_node, int32_t depth) {
-  LayeredEdges out;
-  const Status status = TryExtractUiComputationGraph(
-      ckg, user_node, item_node, depth, ExecContext(), &out);
-  KUC_CHECK(status.ok()) << status.message();
-  return out;
 }
 
 Status TryExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,

@@ -17,15 +17,12 @@
 
 namespace kucnet {
 
-/// Bounded BFS from `source`: distances[v] = shortest-path hops (ignoring
+/// Bounded BFS from `source`: (*out)[v] = shortest-path hops (ignoring
 /// direction is unnecessary: the CKG stores both directions), or -1 if
-/// v is farther than `max_depth` (or unreachable).
-std::vector<int32_t> BfsDistances(const Ckg& ckg, int64_t source,
-                                  int32_t max_depth);
-
-/// Cancellable BFS: hits the `ctx` checkpoint (stage "subgraph") every
-/// `kSubgraphCheckEveryNodes` dequeued nodes. On cancellation `*out` is
-/// cleared and the checkpoint's status is returned.
+/// v is farther than `max_depth` (or unreachable). Hits the `ctx`
+/// checkpoint (stage "subgraph") every `kSubgraphCheckEveryNodes` dequeued
+/// nodes. On cancellation `*out` is cleared and the checkpoint's status is
+/// returned.
 Status TryBfsDistances(const Ckg& ckg, int64_t source, int32_t max_depth,
                        const ExecContext& ctx, std::vector<int32_t>* out);
 
@@ -57,12 +54,8 @@ struct LayeredEdges {
 
 /// Builds C_{u,i|L}. Self-loop edges (n, self, n) are included at layer l for
 /// every node active at both endpoints' constraints, so shorter paths are
-/// padded to length exactly L as in Sec. IV-B.
-LayeredEdges ExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,
-                                       int64_t item_node, int32_t depth);
-
-/// Cancellable variant of ExtractUiComputationGraph: the two BFS sweeps and
-/// each layer's edge scan hit the `ctx` checkpoint (stage "subgraph"). On
+/// padded to length exactly L as in Sec. IV-B. The two BFS sweeps and each
+/// layer's edge scan hit the `ctx` checkpoint (stage "subgraph"). On
 /// cancellation `*out` is cleared and the checkpoint's status is returned.
 Status TryExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,
                                     int64_t item_node, int32_t depth,

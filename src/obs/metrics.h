@@ -258,8 +258,8 @@ class MetricsRegistry {
 MetricsRegistry& DefaultRegistry();
 
 /// Counter add with a runtime (non-literal) name: a mutex-guarded map lookup
-/// per call, for low-frequency events whose name is computed (e.g. per-tier
-/// serve counts). Hot paths use KUC_OBS_COUNT instead.
+/// per call, for low-frequency events whose name is computed (e.g. per-shard
+/// fleet counts). Hot paths use KUC_OBS_COUNT or a reference resolved once.
 void Count(const std::string& name, int64_t delta = 1);
 
 }  // namespace kucnet::obs

@@ -30,9 +30,8 @@ int64_t DynamicPprTable::LocalPush(const DynamicCkg& graph, real_t alpha,
                 &state->residual);
   for (const int64_t v : seeds) scratch.Enqueue(v, scratch.Touch(graph, v));
   ppr_internal::PushCounts counts;
-  const Status status = ppr_internal::RunForwardPush</*kSigned=*/true>(
-      graph, alpha, ExecContext(), scratch, &counts);
-  KUC_CHECK(status.ok()) << status.message();
+  KUC_CHECK_OK(ppr_internal::RunForwardPush</*kSigned=*/true>(
+      graph, alpha, ExecContext(), scratch, &counts));
   scratch.WriteEstimates(&state->estimate);
   scratch.WriteResiduals(&state->residual);
   return counts.pushes;

@@ -58,7 +58,7 @@ struct PprRepairStats {
 class DynamicPprTable {
  public:
   /// Full forward push for every user on the dynamic graph, keeping the
-  /// converged residuals (PprForwardPush discards them; repair needs them).
+  /// converged residuals (TryPprForwardPush discards them; repair needs them).
   /// On a graph with no overflow edges the estimates are bitwise-identical
   /// to PprTable::Compute — the push replays the same operation sequence.
   static DynamicPprTable Compute(const DynamicCkg& graph,

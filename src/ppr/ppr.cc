@@ -80,16 +80,6 @@ void AppendRun(const std::vector<ppr_internal::NodeScore>& run,
 
 }  // namespace
 
-std::unordered_map<int64_t, real_t> PprForwardPush(const Ckg& ckg,
-                                                   int64_t source, real_t alpha,
-                                                   real_t epsilon) {
-  std::unordered_map<int64_t, real_t> estimate;
-  const Status status =
-      TryPprForwardPush(ckg, source, alpha, epsilon, ExecContext(), &estimate);
-  KUC_CHECK(status.ok()) << status.message();
-  return estimate;
-}
-
 Status TryPprForwardPush(const Ckg& ckg, int64_t source, real_t alpha,
                          real_t epsilon, const ExecContext& ctx,
                          std::unordered_map<int64_t, real_t>* out) {
@@ -113,10 +103,9 @@ PprTable PprTable::Compute(const Ckg& ckg, PprTableOptions options,
   for (int64_t first = 0; first < num_users; first += kComputeRoundUsers) {
     const int64_t count = std::min(kComputeRoundUsers, num_users - first);
     auto push_one = [&](int64_t k) {
-      const Status status = PushFromSource(ckg, ckg.UserNode(first + k),
-                                           options.alpha, options.epsilon,
-                                           ExecContext());
-      KUC_CHECK(status.ok()) << status.message();
+      KUC_CHECK_OK(PushFromSource(ckg, ckg.UserNode(first + k),
+                                  options.alpha, options.epsilon,
+                                  ExecContext()));
       ppr_internal::PushScratch::ForThisThread().WriteSortedRun(&staged[k]);
     };
     if (pool != nullptr) {

@@ -33,14 +33,9 @@ std::vector<real_t> PprPowerIteration(const SparseMatrix& column_normalized_adj,
                                       int iterations = 20);
 
 /// Sparse PPR by forward push with per-node residual threshold
-/// `epsilon * degree(v)`. Returns only nonzero estimates. The estimate
-/// undershoots the true PPR by at most epsilon * degree summed over nodes.
-std::unordered_map<int64_t, real_t> PprForwardPush(const Ckg& ckg,
-                                                   int64_t source,
-                                                   real_t alpha = 0.15,
-                                                   real_t epsilon = 1e-6);
-
-/// Cancellable forward push: hits the `ctx` checkpoint (stage "ppr") every
+/// `epsilon * degree(v)`; `*out` gets only the nonzero estimates. The
+/// estimate undershoots the true PPR by at most epsilon * degree summed over
+/// nodes. Hits the `ctx` checkpoint (stage "ppr") every
 /// `kPprCheckEveryPushes` queue pops, so a request deadline or injected
 /// fault abandons the walk mid-push instead of running to convergence. On
 /// cancellation `*out` is cleared and the checkpoint's status is returned.

@@ -1,8 +1,10 @@
 #include "serve/fleet/shard_router.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <string_view>
 #include <thread>
 
 #include "tensor/serialize.h"
@@ -47,8 +49,13 @@ bool BetterAnswer(int64_t a_latency, ServeTier a_tier, int64_t b_latency,
   return a_latency < b_latency;
 }
 
-std::string ShardCounter(int shard, const char* suffix) {
-  return "fleet.shard." + std::to_string(shard) + "." + suffix;
+/// Adds 1 to `fleet.shard.<shard>.<suffix>`, building the name only when
+/// observability is on.
+void CountShard(int shard, std::string_view suffix) {
+  if (obs::Enabled()) {
+    std::string name = "fleet.shard." + std::to_string(shard) + ".";
+    obs::Count(name.append(suffix), 1);
+  }
 }
 
 }  // namespace
@@ -239,7 +246,7 @@ int ShardRouter::NextCandidate(const std::vector<int>& prefs, size_t* cursor,
         ++stats_.breaker_rejections;
         --shard_inflight_[shard];
       }
-      obs::Count(ShardCounter(shard, "breaker_rejections"), 1);
+      CountShard(shard, "breaker_rejections");
       note("shard " + std::to_string(shard) + ": breaker open");
       continue;
     }
@@ -267,7 +274,7 @@ ShardRouter::Attempt ShardRouter::AttemptShard(int shard,
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.shard_down_failures;
       }
-      obs::Count(ShardCounter(shard, "down_failures"), 1);
+      CountShard(shard, "down_failures");
       return attempt;
     }
     // A stalling replica eats the fleet's time *before* answering — the
@@ -289,7 +296,7 @@ ShardRouter::Attempt ShardRouter::AttemptShard(int shard,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.shard_error_failures;
     }
-    obs::Count(ShardCounter(shard, "error_failures"), 1);
+    CountShard(shard, "error_failures");
     return attempt;
   }
   attempt.answered = true;
@@ -304,7 +311,7 @@ ShardRouter::Attempt ShardRouter::AttemptShard(int shard,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.slow_attempt_failures;
     }
-    obs::Count(ShardCounter(shard, "slow_attempts"), 1);
+    CountShard(shard, "slow_attempts");
   }
   return attempt;
 }
@@ -386,11 +393,8 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
     }
     const ShardHealth after = breakers_[shard]->state();
     if (after != before) {
-      obs::Count(ShardCounter(shard, "health_transitions"), 1);
-      obs::Count(ShardCounter(shard, std::string("health.")
-                                         .append(ShardHealthName(after))
-                                         .c_str()),
-                 1);
+      CountShard(shard, "health_transitions");
+      CountShard(shard, std::string("health.") + ShardHealthName(after));
     }
   };
 
@@ -483,7 +487,7 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
     out.path = out.hedge_won ? FleetPath::kHedge
                : out.retries > 0 ? FleetPath::kRetry
                                  : FleetPath::kPrimary;
-    obs::Count(ShardCounter(accepted_shard, "answers"), 1);
+    CountShard(accepted_shard, "answers");
   }
 
   out.total_micros = clock_->NowMicros() - start_micros;
@@ -502,7 +506,19 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
   }
   KUC_OBS_COUNT("fleet.answered", 1);
   if (out.shard < 0) KUC_OBS_COUNT("fleet.fallback_answers", 1);
-  obs::Count(std::string("fleet.path.") + FleetPathName(out.path), 1);
+  if (obs::Enabled()) {
+    // Resolved once, so that counting an answer builds no name.
+    static const std::array<obs::Counter*, kNumFleetPaths> path_counters = [] {
+      std::array<obs::Counter*, kNumFleetPaths> counters;
+      for (int p = 0; p < kNumFleetPaths; ++p) {
+        counters[p] = &obs::DefaultRegistry().GetCounter(
+            std::string("fleet.path.") +
+            FleetPathName(static_cast<FleetPath>(p)));
+      }
+      return counters;
+    }();
+    path_counters[static_cast<int>(out.path)]->Add(1);
+  }
   return out;
 }
 
@@ -570,7 +586,7 @@ Status ShardRouter::RollingSwap(const std::string& checkpoint_path) {
       draining_[s] = false;
       ++stats_.swaps;
     }
-    obs::Count(ShardCounter(s, "swaps"), 1);
+    CountShard(s, "swaps");
     observe(s, "readmitted");
   }
   return Status::Ok();

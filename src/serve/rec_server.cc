@@ -1,6 +1,7 @@
 #include "serve/rec_server.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "obs/trace.h"
@@ -36,6 +37,26 @@ std::future<RecResponse> ReadyResponse(RecResponse response) {
   std::promise<RecResponse> promise;
   promise.set_value(std::move(response));
   return promise.get_future();
+}
+
+/// A tier's name in degrade reasons and `serve.degrade.*` counters: its
+/// display name, except "cache" (its stage span's name) for the cached tier.
+const char* DegradeStageName(ServeTier tier) {
+  return tier == ServeTier::kCached ? "cache" : ServeTierName(tier);
+}
+
+using TierCounters = std::array<obs::Counter*, kNumServeTiers>;
+
+/// The registry counters `prefix + name(tier)`, one per tier, resolved once
+/// so that counting a response builds no name.
+TierCounters ResolveTierCounters(const std::string& prefix,
+                                 const char* (*name)(ServeTier)) {
+  TierCounters counters;
+  for (int t = 0; t < kNumServeTiers; ++t) {
+    counters[t] = &obs::DefaultRegistry().GetCounter(
+        prefix + name(static_cast<ServeTier>(t)));
+  }
+  return counters;
 }
 
 }  // namespace
@@ -311,18 +332,25 @@ bool RecServer::RankInto(int64_t user, const std::vector<double>& scores,
   return !out->items.empty();
 }
 
-void RecServer::NoteFailure(ServeJob* job, const char* tier,
+void RecServer::NoteFailure(ServeJob* job, ServeTier tier,
                             const Status& status) const {
-  if (IsInjectedFault(status)) {
+  const bool fault = IsInjectedFault(status);
+  if (fault) {
     ++job->fault_events;
-    obs::Count(std::string("serve.degrade.fault.") + tier, 1);
   } else {
     job->deadline_missed = true;
-    obs::Count(std::string("serve.degrade.deadline.") + tier, 1);
+  }
+  if (obs::Enabled()) {
+    static const TierCounters fault_counters =
+        ResolveTierCounters("serve.degrade.fault.", DegradeStageName);
+    static const TierCounters deadline_counters =
+        ResolveTierCounters("serve.degrade.deadline.", DegradeStageName);
+    (fault ? fault_counters : deadline_counters)[static_cast<int>(tier)]->Add(
+        1);
   }
   std::string& reason = job->response.degrade_reason;
   if (!reason.empty()) reason += "; ";
-  reason += tier;
+  reason += DegradeStageName(tier);
   reason += ": ";
   reason += status.message();
 }
@@ -354,7 +382,7 @@ bool RecServer::StartFullTier(ServeJob* job) {
   job->full_t0 = clock_->NowMicros();
   if (job->deadline.Expired()) {
     job->full_pre_expired = true;
-    NoteFailure(job, "full",
+    NoteFailure(job, ServeTier::kFull,
                 ErrorStatus() << "deadline expired before execution "
                                  "(queued past the latency budget)");
     TimeStage(job, "full", job->full_t0);
@@ -375,7 +403,7 @@ void RecServer::FinishFullTier(ServeJob* job) {
   if (job->full_pre_expired) return;  // already noted and timed
   TimeStage(job, "full", job->full_t0);
   if (!job->full_status.ok()) {
-    NoteFailure(job, "full", job->full_status);
+    NoteFailure(job, ServeTier::kFull, job->full_status);
   } else if (const int64_t bad = FirstNonFinite(job->forward.item_scores);
              bad >= 0) {
     // A mid-divergence checkpoint produces NaN/Inf scores. Serving them
@@ -417,7 +445,7 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
         job->response.cache_age_micros = age;
       }
     } else {
-      NoteFailure(job, "cache", status);
+      NoteFailure(job, ServeTier::kCached, status);
     }
     TimeStage(job, "cache", t0);
   }
@@ -436,7 +464,7 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
         job->response.tier = ServeTier::kHeuristic;
       }
     } else if (!status.ok()) {
-      NoteFailure(job, "heuristic", status);
+      NoteFailure(job, ServeTier::kHeuristic, status);
     } else {
       // The user lies outside the PPR table (streaming can add users past
       // it). This skip used to be silent — no reason, no counter — so the
@@ -464,7 +492,7 @@ void RecServer::ServePopularity(ServeJob* job) {
   // the precomputed ranking is returned regardless: the last tier never
   // fails, so no admitted request ever gets an empty response.
   const Status status = job->fallback_ctx.Check("popularity");
-  if (!status.ok()) NoteFailure(job, "popularity", status);
+  if (!status.ok()) NoteFailure(job, ServeTier::kPopularity, status);
   const std::vector<int64_t>* exclude =
       options_.exclude_train_items &&
               request.user >= 0 &&
@@ -521,7 +549,11 @@ RecResponse RecServer::FinalizeJob(ServeJob* job) {
   if (job->fault_events > 0) {
     KUC_OBS_COUNT("serve.fault_events", job->fault_events);
   }
-  obs::Count(std::string("serve.tier.") + ServeTierName(response.tier), 1);
+  if (obs::Enabled()) {
+    static const TierCounters tier_counters =
+        ResolveTierCounters("serve.tier.", ServeTierName);
+    tier_counters[static_cast<int>(response.tier)]->Add(1);
+  }
   KUC_OBS_HISTOGRAM("serve.latency_micros", response.total_micros);
   return std::move(response);
 }

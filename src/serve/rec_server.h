@@ -337,8 +337,7 @@ class RecServer {
   bool KnownUser(int64_t user) const;
   /// Stats, counters, latency; returns the finished response.
   RecResponse FinalizeJob(ServeJob* job);
-  void NoteFailure(ServeJob* job, const char* tier,
-                   const Status& status) const;
+  void NoteFailure(ServeJob* job, ServeTier tier, const Status& status) const;
   void TimeStage(ServeJob* job, const char* stage, int64_t start_micros) const;
 
   // ---- Pipeline stage callbacks (see serve/pipeline.h) ----

@@ -21,11 +21,9 @@
 ///
 /// Saving is atomic (temp file + rename via the FileSystem seam): a failed
 /// or interrupted save never destroys an existing checkpoint. Loading
-/// verifies the checksum, names, and shapes, and the `Try*` tier reports
-/// problems as recoverable `Status` errors; the historical aborting
-/// functions remain as wrappers. Legacy v1 checkpoints (text header, no
-/// footer) are still loadable; v1 validity is approximated by checking the
-/// payload size against the header.
+/// verifies the checksum, names, and shapes and reports problems as
+/// `Status` errors. The footer-less v1 format ("KUCNET_CKPT_V1") is retired:
+/// loading one returns an error that names it.
 
 namespace kucnet {
 
@@ -51,22 +49,13 @@ Status VerifyChecksumFooter(const std::string& data, size_t* payload_size);
 Status TrySaveParameters(const std::vector<Parameter*>& params,
                          const std::string& path, FileSystem* fs = nullptr);
 
-/// Restores parameter values from `path` (v2 or legacy v1). The parameter
-/// list must match the saved one in order, names, and shapes.
+/// Restores parameter values from `path` (v2). The parameter list must match
+/// the saved one in order, names, and shapes.
 Status TryLoadParameters(const std::vector<Parameter*>& params,
                          const std::string& path, FileSystem* fs = nullptr);
 
-/// Aborting wrapper around TrySaveParameters.
-void SaveParameters(const std::vector<Parameter*>& params,
-                    const std::string& path);
-
-/// Aborting wrapper around TryLoadParameters.
-void LoadParameters(const std::vector<Parameter*>& params,
-                    const std::string& path);
-
-/// True if `path` holds a complete parameter checkpoint: for v2 the checksum
-/// footer must verify (so a torn file is rejected here, not mid-load); for
-/// legacy v1 the header must parse and the payload size must match it.
+/// True if `path` holds a complete v2 parameter checkpoint: the checksum
+/// footer must verify, so a torn file is rejected here, not mid-load.
 bool IsCheckpoint(const std::string& path, FileSystem* fs = nullptr);
 
 }  // namespace kucnet

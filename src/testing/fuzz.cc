@@ -348,7 +348,9 @@ void PprCase(uint64_t case_seed, CaseResult& result) {
   const real_t alpha = rng.Uniform(0.05, 0.95);
   const real_t epsilon = std::pow(10.0, -(3.0 + rng.Uniform() * 5.0));
 
-  const auto optimized = PprForwardPush(ckg, source, alpha, epsilon);
+  std::unordered_map<int64_t, real_t> optimized;
+  KUC_CHECK_OK(TryPprForwardPush(ckg, source, alpha, epsilon, ExecContext(),
+                                 &optimized));
   const OraclePprResult oracle = OraclePprPush(ckg, source, alpha, epsilon);
 
   // Same queue discipline, same arithmetic order: bitwise agreement.
@@ -531,7 +533,9 @@ struct ServeFuzzContext {
   const std::vector<double>& FullScores(int64_t user) {
     auto it = full_scores.find(user);
     if (it == full_scores.end()) {
-      it = full_scores.emplace(user, model->Forward(user).item_scores).first;
+      KucnetForward forward;
+      KUC_CHECK_OK(model->TryForward(user, ExecContext(), &forward));
+      it = full_scores.emplace(user, std::move(forward.item_scores)).first;
     }
     return it->second;
   }
@@ -858,8 +862,9 @@ struct FleetFuzzContext {
   const std::vector<double>& FullScores(int64_t user) {
     auto it = full_scores.find(user);
     if (it == full_scores.end()) {
-      it = full_scores.emplace(user, models[0]->Forward(user).item_scores)
-               .first;
+      KucnetForward forward;
+      KUC_CHECK_OK(models[0]->TryForward(user, ExecContext(), &forward));
+      it = full_scores.emplace(user, std::move(forward.item_scores)).first;
     }
     return it->second;
   }
@@ -1356,8 +1361,11 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   const int64_t source = rng.UniformInt(built.num_nodes());
   const real_t alpha = rng.Uniform(0.05, 0.95);
   const real_t epsilon = std::pow(10.0, -(3.0 + rng.Uniform() * 4.0));
-  const auto push_loaded = PprForwardPush(loaded, source, alpha, epsilon);
-  const auto push_built = PprForwardPush(built, source, alpha, epsilon);
+  std::unordered_map<int64_t, real_t> push_loaded, push_built;
+  KUC_CHECK_OK(TryPprForwardPush(loaded, source, alpha, epsilon, ExecContext(),
+                                 &push_loaded));
+  KUC_CHECK_OK(TryPprForwardPush(built, source, alpha, epsilon, ExecContext(),
+                                 &push_built));
   if (push_loaded.size() != push_built.size()) {
     result.Fail() << "ppr support: loaded=" << push_loaded.size()
                   << " built=" << push_built.size() << " (source=" << source

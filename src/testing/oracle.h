@@ -93,7 +93,7 @@ std::string DescribeCkgMismatch(const Ckg& ckg,
 
 /// Forward-push transcript: the estimate plus the terminal residual, so mass
 /// conservation (estimate + residual == 1) is checkable — the optimized
-/// PprForwardPush discards the residual.
+/// TryPprForwardPush discards the residual.
 struct OraclePprResult {
   std::unordered_map<int64_t, real_t> estimate;
   std::unordered_map<int64_t, real_t> residual;

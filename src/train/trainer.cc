@@ -67,12 +67,10 @@ TrainResult TrainModel(RankModel& model, const Dataset& dataset,
                                               options.fs);
     if (found >= 0) {
       TrainSnapshotMeta meta;
-      const Status st = ReadTrainSnapshot(path, &meta, params, adam,
-                                          options.fs);
       // FindLatestTrainSnapshot only returns checksum-verified files, so a
       // read failure here means a model/snapshot mismatch — not recoverable.
-      KUC_CHECK(st.ok()) << "cannot resume from " << path << ": "
-                         << st.message();
+      KUC_CHECK_OK(ReadTrainSnapshot(path, &meta, params, adam, options.fs))
+          << "(cannot resume from " << path << ")";
       start_epoch = meta.epoch;
       train_seconds = meta.train_seconds;
       rng.RestoreState(meta.rng);
@@ -134,8 +132,8 @@ TrainResult TrainModel(RankModel& model, const Dataset& dataset,
       ++result.rollbacks;
       KUC_OBS_COUNT("train.rollbacks", 1);
       TrainSnapshotMeta meta;
-      const Status st = DecodeTrainSnapshot(last_good, &meta, params, adam);
-      KUC_CHECK(st.ok()) << "rollback failed: " << st.message();
+      KUC_CHECK_OK(DecodeTrainSnapshot(last_good, &meta, params, adam))
+          << "(rollback failed)";
       rng.RestoreState(meta.rng);
       if (adam != nullptr) {
         const real_t lr =

@@ -5,15 +5,17 @@
 #include <string>
 #include <utility>
 
+#include "util/logging.h"
+
 /// \file
-/// Recoverable-error plumbing for the fault-tolerance layer.
+/// Recoverable-error plumbing.
 ///
-/// The library historically aborts on any IO problem (KUC_CHECK). Code that
-/// must survive torn writes, truncated reads, and malformed input — the
-/// checkpoint/resume path above all — instead returns a `Status` and lets the
-/// caller decide between retrying, falling back to a previous snapshot, and
-/// aborting with context. Legacy aborting entry points remain as thin
-/// wrappers that KUC_CHECK the returned status.
+/// Every fallible operation — IO, checkpoint and dataset loading, and the
+/// cancellable serving stages (PPR push, BFS, graph build, forward pass) —
+/// has exactly one entry point, a `Try*` function that returns a `Status`.
+/// The caller decides between retrying, falling back to a previous snapshot,
+/// reporting the error, and aborting; a call site for which failure can only
+/// be a bug aborts with `KUC_CHECK_OK`.
 
 namespace kucnet {
 
@@ -71,5 +73,15 @@ inline internal_status::ErrorBuilder ErrorStatus() {
     ::kucnet::Status kuc_status_tmp_ = (expr);     \
     if (!kuc_status_tmp_.ok()) return kuc_status_tmp_; \
   } while (0)
+
+/// Aborts with the status message when `expr` (a Status) is not OK. For call
+/// sites where failure is a bug, e.g. a stage run under an unbounded
+/// `ExecContext()`, which never cancels. More context may be streamed:
+/// `KUC_CHECK_OK(DecodeSnapshot(...)) << "rollback failed";`
+#define KUC_CHECK_OK(expr)                                                  \
+  for (const ::kucnet::Status kuc_check_ok_ = (expr); !kuc_check_ok_.ok();) \
+  ::kucnet::internal_logging::FatalMessage(__FILE__, __LINE__, #expr)       \
+          .stream()                                                         \
+      << kuc_check_ok_.message() << " "
 
 #endif  // KUCNET_UTIL_STATUS_H_

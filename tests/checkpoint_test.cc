@@ -1,7 +1,7 @@
 // Crash safety of the checkpoint formats: v2 integrity footer, atomic
 // saves under a fault-injection sweep (kill the save at every Nth IO op and
-// the previous checkpoint must survive), legacy v1 compatibility, and exact
-// round-trips of optimizer (Adam) and RNG state.
+// the previous checkpoint must survive), rejection of the retired v1 format,
+// and exact round-trips of optimizer (Adam) and RNG state.
 
 #include <fstream>
 #include <string>
@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
+#include "core/kucnet.h"
+#include "data/synthetic.h"
+#include "serve/fleet/shard_router.h"
 #include "tensor/adam.h"
 #include "tensor/matrix.h"
 #include "tensor/parameter.h"
@@ -88,71 +90,56 @@ TEST(CheckpointV2Test, TornReadDetectedByChecksumNotAbort) {
   EXPECT_FALSE(st.ok());
 }
 
-TEST(CheckpointV2Test, LegacyV1StillLoads) {
-  auto params = MakeParams(4);
-  const Matrix emb_saved = params[0].value();
-  const Matrix readout_saved = params[1].value();
-  const std::string path = TempPath("v1_legacy.bin");
-  {
-    // Write the pre-v2 format by hand: text header + raw doubles.
-    std::ofstream out(path, std::ios::binary);
-    out << "KUCNET_CKPT_V1\n" << 2 << '\n';
-    for (const Parameter* p : Ptrs(params)) {
-      out << p->name() << ' ' << p->rows() << ' ' << p->cols() << '\n';
-    }
-    for (const Parameter* p : Ptrs(params)) {
-      out.write(reinterpret_cast<const char*>(p->value().data()),
-                static_cast<std::streamsize>(p->value().size() *
-                                             sizeof(real_t)));
-    }
+/// Writes the retired v1 format by hand: text header (magic, count, one
+/// `name rows cols` line per parameter), then the raw doubles.
+void WriteV1Checkpoint(const std::string& path,
+                       const std::vector<Parameter*>& params) {
+  std::ofstream out(path, std::ios::binary);
+  out << "KUCNET_CKPT_V1\n" << params.size() << '\n';
+  for (const Parameter* p : params) {
+    out << p->name() << ' ' << p->rows() << ' ' << p->cols() << '\n';
   }
-  EXPECT_TRUE(IsCheckpoint(path));
-  params[0].value().SetZero();
-  params[1].value().SetZero();
-  ASSERT_TRUE(TryLoadParameters(Ptrs(params), path).ok());
-  EXPECT_TRUE(params[0].value().Equals(emb_saved));
-  EXPECT_TRUE(params[1].value().Equals(readout_saved));
-
-  // A truncated v1 file no longer passes discovery: the payload size must
-  // match the header.
-  std::string bytes;
-  ASSERT_TRUE(DefaultFileSystem().ReadFile(path, &bytes).ok());
-  const std::string torn = TempPath("v1_torn.bin");
-  ASSERT_TRUE(DefaultFileSystem()
-                  .WriteFile(torn, bytes.substr(0, bytes.size() - 7))
-                  .ok());
-  EXPECT_FALSE(IsCheckpoint(torn));
+  for (const Parameter* p : params) {
+    out.write(reinterpret_cast<const char*>(p->value().data()),
+              static_cast<std::streamsize>(p->value().size() *
+                                           sizeof(real_t)));
+  }
 }
 
-TEST(CheckpointV2Test, LegacyV1LoadIsCountedV2IsNot) {
-  auto params = MakeParams(5);
-  const std::string v1_path = TempPath("v1_counted.bin");
-  {
-    std::ofstream out(v1_path, std::ios::binary);
-    out << "KUCNET_CKPT_V1\n" << 2 << '\n';
-    for (const Parameter* p : Ptrs(params)) {
-      out << p->name() << ' ' << p->rows() << ' ' << p->cols() << '\n';
-    }
-    for (const Parameter* p : Ptrs(params)) {
-      out.write(reinterpret_cast<const char*>(p->value().data()),
-                static_cast<std::streamsize>(p->value().size() *
-                                             sizeof(real_t)));
-    }
-  }
-  // Every legacy load bumps checkpoint.legacy_load, so operators can find
-  // which fleets still produce pre-v2 checkpoints before retiring v1.
-  obs::SetEnabled(true);
-  obs::Counter& counter =
-      obs::DefaultRegistry().GetCounter("checkpoint.legacy_load");
-  const int64_t before = counter.Value();
-  ASSERT_TRUE(TryLoadParameters(Ptrs(params), v1_path).ok());
-  EXPECT_EQ(counter.Value(), before + 1);
-  // A v2 round-trip leaves the legacy counter alone.
-  const std::string v2_path = TempPath("v2_not_counted.kuc");
-  ASSERT_TRUE(TrySaveParameters(Ptrs(params), v2_path).ok());
-  ASSERT_TRUE(TryLoadParameters(Ptrs(params), v2_path).ok());
-  EXPECT_EQ(counter.Value(), before + 1);
-  obs::SetEnabled(false);
+TEST(CheckpointV2Test, RetiredV1FormatIsRejectedByName) {
+  // A well-formed v1 file for exactly these parameters, holding other values.
+  auto params = MakeParams(4);
+  auto other = MakeParams(5);
+  const std::string path = TempPath("v1_retired.bin");
+  WriteV1Checkpoint(path, Ptrs(other));
+  const Matrix emb_before = params[0].value();
+  const Matrix readout_before = params[1].value();
+
+  const Status st = TryLoadParameters(Ptrs(params), path);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("v1"), std::string::npos) << st.message();
+  EXPECT_TRUE(params[0].value().Equals(emb_before));
+  EXPECT_TRUE(params[1].value().Equals(readout_before));
+  EXPECT_FALSE(IsCheckpoint(path));
+
+  // A fleet rejects the file before it takes any shard out of rotation.
+  Rng rng(7);
+  const Dataset dataset =
+      TraditionalSplit(GenerateSynthetic(SynthLastFmConfig()).raw, 0.2, rng);
+  const Ckg ckg = dataset.BuildCkg();
+  const PprTable ppr = PprTable::Compute(ckg);
+  Kucnet model(&dataset, &ckg, &ppr, KucnetOptions());
+  WriteV1Checkpoint(path, model.Params());
+  ShardRouterOptions options;
+  options.server.num_workers = 0;
+  std::vector<std::string> phases;
+  options.swap_observer = [&phases](int, const char* phase) {
+    phases.push_back(phase);
+  };
+  ShardRouter router({&model}, &dataset, &ckg, &ppr, options);
+  EXPECT_FALSE(router.RollingSwap(path).ok());
+  EXPECT_TRUE(phases.empty()) << phases.front();
+  EXPECT_EQ(router.stats().swaps, 0);
 }
 
 /// The crash-safety sweep of the issue: learn how many IO ops a save takes,

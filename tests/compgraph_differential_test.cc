@@ -86,8 +86,10 @@ void ExpectBuildMatchesOracle(const Fixture& f, const CompGraphOptions& opts,
   const uint64_t seed = 1000003 * static_cast<uint64_t>(user) + 17;
   Rng rng(seed);
   Rng oracle_rng(seed);
-  const UserCompGraph built = CompGraphBuilder(&f.ckg, opts).Build(
-      f.ckg.UserNode(user), &run, &rng, excluded);
+  UserCompGraph built;
+  ASSERT_TRUE(CompGraphBuilder(&f.ckg, opts).TryBuild(
+      f.ckg.UserNode(user), &run, &rng, excluded, ExecContext(), &built).ok())
+      << what;
   EXPECT_TRUE(compgraph_internal::ThisThreadScratchIsClear()) << what;
   const UserCompGraph expected = testing::OracleUserCompGraph(
       f.ckg, opts, f.ckg.UserNode(user), &oracle_score, &oracle_rng, excluded);
@@ -186,7 +188,8 @@ TEST(CompGraphScratchTest, CancelledBuildLeavesNothingForTheNextBuild) {
 
   UserCompGraph fresh;
   std::thread([&] {
-    fresh = builder.Build(f.ckg.UserNode(next_user), &next_run);
+    ASSERT_TRUE(builder.TryBuild(f.ckg.UserNode(next_user), &next_run, nullptr,
+                                 {}, ExecContext(), &fresh).ok());
   }).join();
 
   std::thread([&] {
@@ -204,8 +207,9 @@ TEST(CompGraphScratchTest, CancelledBuildLeavesNothingForTheNextBuild) {
     EXPECT_TRUE(out.layers.empty());
     EXPECT_TRUE(compgraph_internal::ThisThreadScratchIsClear());
 
-    const UserCompGraph next =
-        builder.Build(f.ckg.UserNode(next_user), &next_run);
+    UserCompGraph next;
+    ASSERT_TRUE(builder.TryBuild(f.ckg.UserNode(next_user), &next_run, nullptr,
+                                 {}, ExecContext(), &next).ok());
     EXPECT_TRUE(compgraph_internal::ThisThreadScratchIsClear());
     ExpectSameGraph(next, fresh, "after a cancelled build");
   }).join();

@@ -240,8 +240,9 @@ TEST(SerializeTest, RoundTrip) {
   Dataset d = NewItemSplit(raw, 0.2, rng);
   const std::string dir = ::testing::TempDir() + "/roundtrip_plain";
   std::filesystem::create_directories(dir);
-  SaveDataset(d, dir);
-  Dataset loaded = LoadDataset(dir);
+  ASSERT_TRUE(TrySaveDataset(d, dir).ok());
+  Dataset loaded;
+  ASSERT_TRUE(TryLoadDataset(dir, &loaded).ok());
   EXPECT_EQ(loaded.name, d.name);
   EXPECT_EQ(loaded.kind, d.kind);
   EXPECT_EQ(loaded.num_users, d.num_users);
@@ -261,8 +262,9 @@ TEST(SerializeTest, RoundTripWithUserKg) {
   ASSERT_FALSE(d.user_kg.empty());
   const std::string dir = ::testing::TempDir() + "/roundtrip_userkg";
   std::filesystem::create_directories(dir);
-  SaveDataset(d, dir);
-  Dataset loaded = LoadDataset(dir);
+  ASSERT_TRUE(TrySaveDataset(d, dir).ok());
+  Dataset loaded;
+  ASSERT_TRUE(TryLoadDataset(dir, &loaded).ok());
   EXPECT_EQ(loaded.user_kg, d.user_kg);
 }
 

@@ -30,7 +30,7 @@ std::string ScratchDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
-  KUC_CHECK(DefaultFileSystem().MakeDirs(dir).ok());
+  KUC_CHECK_OK(DefaultFileSystem().MakeDirs(dir));
   return dir;
 }
 
@@ -88,9 +88,9 @@ class FaultToleranceTest : public ::testing::Test {
   }
 
   std::string CheckpointBytes(Kucnet& model, const std::string& path) {
-    model.SaveCheckpoint(path);
     std::string bytes;
-    KUC_CHECK(DefaultFileSystem().ReadFile(path, &bytes).ok());
+    KUC_CHECK_OK(TrySaveParameters(model.Params(), path));
+    KUC_CHECK_OK(DefaultFileSystem().ReadFile(path, &bytes));
     return bytes;
   }
 

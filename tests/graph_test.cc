@@ -11,6 +11,23 @@
 namespace kucnet {
 namespace {
 
+// Value-returning forms of the graph stages, run with no deadline (they
+// cannot be cancelled, so a failure is a bug).
+std::vector<int32_t> Bfs(const Ckg& g, int64_t source, int32_t max_depth) {
+  std::vector<int32_t> dist;
+  KUC_CHECK_OK(TryBfsDistances(g, source, max_depth, ExecContext(), &dist));
+  return dist;
+}
+
+UserCompGraph Build(const CompGraphBuilder& builder, int64_t user_node,
+                    const NodeScoreFn* score = nullptr, Rng* rng = nullptr,
+                    const std::vector<ExcludedPair>& excluded = {}) {
+  UserCompGraph graph;
+  KUC_CHECK_OK(builder.TryBuild(user_node, score, rng, excluded,
+                                ExecContext(), &graph));
+  return graph;
+}
+
 // Toy graph modeled on the paper's Figure 1: two users, five items (items 3
 // and 4 are "new": no interactions), three KG entities.
 //   users: u0, u1
@@ -137,7 +154,7 @@ TEST(CkgTest, DuplicateInputEdgesCollapse) {
 
 TEST(BfsTest, DistancesOnToyGraph) {
   Ckg g = ToyCkg();
-  const auto d = BfsDistances(g, g.UserNode(0), 10);
+  const auto d = Bfs(g, g.UserNode(0), 10);
   EXPECT_EQ(d[g.UserNode(0)], 0);
   EXPECT_EQ(d[g.ItemNode(0)], 1);
   EXPECT_EQ(d[g.ItemNode(1)], 1);
@@ -151,7 +168,7 @@ TEST(BfsTest, DistancesOnToyGraph) {
 
 TEST(BfsTest, MaxDepthTruncates) {
   Ckg g = ToyCkg();
-  const auto d = BfsDistances(g, g.UserNode(0), 2);
+  const auto d = Bfs(g, g.UserNode(0), 2);
   EXPECT_EQ(d[g.UserNode(1)], 2);
   EXPECT_EQ(d[g.ItemNode(3)], -1);  // distance 3 > max_depth
 }
@@ -182,8 +199,8 @@ TEST(UiSubgraphTest, DefinitionTwoMembership) {
   const int64_t u = g.UserNode(1);
   const int64_t i = g.ItemNode(2);
   UiSubgraph sg = ExtractUiSubgraph(g, u, i, depth);
-  const auto du = BfsDistances(g, u, g.num_nodes());
-  const auto di = BfsDistances(g, i, g.num_nodes());
+  const auto du = Bfs(g, u, g.num_nodes());
+  const auto di = Bfs(g, i, g.num_nodes());
   std::set<int64_t> nodes(sg.nodes.begin(), sg.nodes.end());
   for (int64_t v = 0; v < g.num_nodes(); ++v) {
     const bool expected =
@@ -200,7 +217,7 @@ TEST(CompGraphTest, LayersMatchRecursiveDefinition) {
   opts.self_loops = false;
   opts.max_edges_per_node = 0;
   CompGraphBuilder builder(&g, opts);
-  UserCompGraph cg = builder.Build(g.UserNode(0));
+  UserCompGraph cg = Build(builder, g.UserNode(0));
 
   std::set<int64_t> frontier = {g.UserNode(0)};
   for (int32_t l = 0; l < 3; ++l) {
@@ -224,7 +241,7 @@ TEST(CompGraphTest, SelfLoopsKeepNodesAlive) {
   opts.depth = 3;
   opts.self_loops = true;
   CompGraphBuilder builder(&g, opts);
-  UserCompGraph cg = builder.Build(g.UserNode(0));
+  UserCompGraph cg = Build(builder, g.UserNode(0));
   // Layer l nodes are a superset of layer l-1 nodes.
   std::set<int64_t> prev = {g.UserNode(0)};
   for (const auto& layer : cg.layers) {
@@ -246,7 +263,7 @@ TEST(CompGraphTest, Proposition1UiGraphsAreSubgraphs) {
     opts.self_loops = true;
     CompGraphBuilder builder(&g, opts);
     const int64_t u = g.UserNode(0);
-    UserCompGraph cg = builder.Build(u);
+    UserCompGraph cg = Build(builder, u);
 
     // Materialize per-layer edge sets of the user-centric graph.
     std::vector<std::set<std::tuple<int64_t, int64_t, int64_t>>> uc(3);
@@ -261,8 +278,9 @@ TEST(CompGraphTest, Proposition1UiGraphsAreSubgraphs) {
     }
 
     for (int64_t item = 0; item < g.num_items(); ++item) {
-      LayeredEdges ui =
-          ExtractUiComputationGraph(g, u, g.ItemNode(item), 3);
+      LayeredEdges ui;
+      ASSERT_TRUE(TryExtractUiComputationGraph(g, u, g.ItemNode(item), 3,
+                                               ExecContext(), &ui).ok());
       for (int l = 0; l < 3; ++l) {
         for (const Edge& e : ui.layers[l]) {
           EXPECT_TRUE(uc[l].count({e.src, e.rel, e.dst}))
@@ -284,7 +302,7 @@ TEST(CompGraphTest, PruningRespectsCap) {
   opts.prune = PruneMode::kRandom;
   CompGraphBuilder builder(&g, opts);
   Rng rng(1);
-  UserCompGraph cg = builder.Build(g.UserNode(0), nullptr, &rng);
+  UserCompGraph cg = Build(builder, g.UserNode(0), nullptr, &rng);
   for (const auto& layer : cg.layers) {
     // Each head contributes at most K edges.
     std::unordered_map<int64_t, int64_t> per_head;
@@ -307,7 +325,7 @@ TEST(CompGraphTest, PprPruningKeepsHighestScoredTails) {
   const uint32_t scored_node = static_cast<uint32_t>(g.ItemNode(1));
   const real_t scored_value = 1.0;
   const NodeScoreFn score{{&scored_node, 1}, {&scored_value, 1}};
-  UserCompGraph cg = builder.Build(g.UserNode(0), &score);
+  UserCompGraph cg = Build(builder, g.UserNode(0), &score);
   ASSERT_EQ(cg.layers[0].num_edges(), 1);
   EXPECT_EQ(cg.layers[0].nodes[cg.layers[0].dst_index[0]], g.ItemNode(1));
 }
@@ -319,7 +337,8 @@ TEST(CompGraphTest, ExcludedPairsAreHidden) {
   opts.self_loops = false;
   CompGraphBuilder builder(&g, opts);
   std::vector<ExcludedPair> excluded = {{g.UserNode(0), g.ItemNode(0)}};
-  UserCompGraph cg = builder.Build(g.UserNode(0), nullptr, nullptr, excluded);
+  UserCompGraph cg =
+      Build(builder, g.UserNode(0), nullptr, nullptr, excluded);
   // Layer 1 must not contain item 0 (only edge to it was excluded).
   for (const int64_t n : cg.layers[0].nodes) {
     EXPECT_NE(n, g.ItemNode(0));
@@ -346,7 +365,7 @@ TEST(CompGraphTest, FinalIndexLookup) {
   CompGraphOptions opts;
   opts.depth = 3;
   CompGraphBuilder builder(&g, opts);
-  UserCompGraph cg = builder.Build(g.UserNode(0));
+  UserCompGraph cg = Build(builder, g.UserNode(0));
   // Item 4 (new) is reachable at depth 3 via KG bridge.
   EXPECT_GE(cg.FinalIndexOf(g.ItemNode(4)), 0);
   // A made-up node id is not present.
@@ -363,8 +382,8 @@ TEST(CompGraphTest, RandomPruneDeterministicGivenSeed) {
   opts.prune = PruneMode::kRandom;
   CompGraphBuilder builder(&g, opts);
   Rng rng1(9), rng2(9);
-  UserCompGraph a = builder.Build(g.UserNode(1), nullptr, &rng1);
-  UserCompGraph b = builder.Build(g.UserNode(1), nullptr, &rng2);
+  UserCompGraph a = Build(builder, g.UserNode(1), nullptr, &rng1);
+  UserCompGraph b = Build(builder, g.UserNode(1), nullptr, &rng2);
   ASSERT_EQ(a.layers.size(), b.layers.size());
   for (size_t l = 0; l < a.layers.size(); ++l) {
     EXPECT_EQ(a.layers[l].nodes, b.layers[l].nodes);

@@ -51,6 +51,12 @@ struct Fixture {
     ppr = PprTable::Compute(ckg, ppr_opts);
     model = std::make_unique<Kucnet>(&dataset, &ckg, &ppr, opts);
   }
+  /// The model's forward pass with no deadline (it cannot be cancelled).
+  KucnetForward Forward(int64_t user) const {
+    KucnetForward forward;
+    KUC_CHECK_OK(model->TryForward(user, ExecContext(), &forward));
+    return forward;
+  }
   Dataset dataset;
   Ckg ckg;
   PprTable ppr;
@@ -76,7 +82,7 @@ TEST(KucnetTest, ScoreShapesAndUnreachableZero) {
   for (const double s : scores) nonzero += (s != 0.0);
   EXPECT_GT(nonzero, 0);
   // Items not reachable in the final layer must score exactly 0.
-  const KucnetForward fwd = f.model->Forward(0);
+  const KucnetForward fwd = f.Forward(0);
   for (int64_t i = 0; i < f.dataset.num_items; ++i) {
     if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) < 0) {
       EXPECT_EQ(scores[i], 0.0) << "item " << i;
@@ -96,7 +102,7 @@ TEST(KucnetTest, ReadoutEqualsPerItemFinalIndexLookup) {
   };
   Rng rng(5);
   for (int64_t user = 0; user < f.dataset.num_users; ++user) {
-    const KucnetForward fwd = f.model->Forward(user);
+    const KucnetForward fwd = f.Forward(user);
     const UserCompGraph& graph = fwd.graph;
     Matrix rows(graph.FinalSize(), 1);
     for (int64_t r = 0; r < rows.rows(); ++r) rows.at(r, 0) = rng.Normal();
@@ -125,7 +131,7 @@ TEST(KucnetTest, ForwardDeterministic) {
 
 TEST(KucnetTest, AttentionWeightsInUnitInterval) {
   Fixture f(SplitKind::kTraditional, SmallOptions());
-  const KucnetForward fwd = f.model->Forward(1);
+  const KucnetForward fwd = f.Forward(1);
   ASSERT_FALSE(fwd.edges.empty());
   for (const AttributedEdge& e : fwd.edges) {
     EXPECT_GE(e.attention, 0.0);
@@ -138,7 +144,7 @@ TEST(KucnetTest, NoAttentionVariantHasUnitWeights) {
   opts.use_attention = false;
   Fixture f(SplitKind::kTraditional, opts);
   EXPECT_EQ(f.model->name(), "KUCNet-w.o.-Attn");
-  const KucnetForward fwd = f.model->Forward(1);
+  const KucnetForward fwd = f.Forward(1);
   for (const AttributedEdge& e : fwd.edges) {
     EXPECT_EQ(e.attention, 1.0);
   }
@@ -229,7 +235,7 @@ TEST(KucnetTest, NewItemsAreScoredThroughTheKg) {
   const auto test_by_user = f.dataset.TestItemsByUser();
   bool reachable = false;
   for (const int64_t u : f.dataset.TestUsers()) {
-    const KucnetForward fwd = f.model->Forward(u);
+    const KucnetForward fwd = f.Forward(u);
     for (const int64_t i : test_by_user[u]) {
       if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) >= 0) reachable = true;
     }
@@ -246,7 +252,7 @@ TEST(KucnetTest, ScorePairOnUiGraphAgreesOnReachability) {
   EXPECT_GT(edges, 0);
   // The per-pair graph is unpruned, so it contains at least as much
   // structure as any single pruned user graph's restriction to this item.
-  const KucnetForward fwd = f.model->Forward(0);
+  const KucnetForward fwd = f.Forward(0);
   EXPECT_GE(edges, 0);
   (void)score;
   (void)fwd;
@@ -259,7 +265,7 @@ TEST(KucnetTest, PerPairGraphCostExceedsUserCentric) {
   opts.prune = PruneMode::kNone;
   opts.sample_k = 0;
   Fixture f(SplitKind::kTraditional, opts);
-  const KucnetForward fwd = f.model->Forward(0);
+  const KucnetForward fwd = f.Forward(0);
   const int64_t user_centric_edges = fwd.graph.TotalEdges();
   int64_t per_pair_total = 0;
   for (int64_t i = 0; i < f.dataset.num_items; ++i) {
@@ -283,7 +289,7 @@ TEST(ExplainTest, PathsReachTheItemAndRespectThreshold) {
   for (int e = 0; e < 3; ++e) f.model->TrainEpoch(rng);
   // Find a user and an item that is reachable.
   for (const int64_t u : f.dataset.TestUsers()) {
-    const KucnetForward fwd = f.model->Forward(u);
+    const KucnetForward fwd = f.Forward(u);
     int64_t item = -1;
     for (int64_t i = 0; i < f.dataset.num_items; ++i) {
       if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) >= 0 &&
@@ -317,7 +323,7 @@ TEST(ExplainTest, PathsReachTheItemAndRespectThreshold) {
 
 TEST(ExplainTest, HighThresholdPrunesPaths) {
   Fixture f(SplitKind::kTraditional, SmallOptions());
-  const KucnetForward fwd = f.model->Forward(0);
+  const KucnetForward fwd = f.Forward(0);
   int64_t item = -1;
   for (int64_t i = 0; i < f.dataset.num_items; ++i) {
     if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) >= 0) {

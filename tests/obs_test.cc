@@ -316,7 +316,9 @@ TEST_F(ObsTest, PprPushPopsCounterEqualsThePopsOfOnePush) {
   // items again (the user collects 0.5218 < 0.6): 8 pops in one push.
   const std::vector<std::array<int64_t, 2>> inter = {{0, 0}, {0, 1}, {0, 2}};
   const Ckg star = Ckg::Build(1, 3, 3, 1, inter, {});
-  const auto estimate = PprForwardPush(star, star.UserNode(0), 0.15, 0.2);
+  std::unordered_map<int64_t, real_t> estimate;
+  ASSERT_TRUE(TryPprForwardPush(star, star.UserNode(0), 0.15, 0.2,
+                                ExecContext(), &estimate).ok());
   EXPECT_EQ(estimate.size(), 4u);
   const obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
   EXPECT_EQ(snapshot.counters.at("ppr.push_calls"), 1);
@@ -690,9 +692,12 @@ TEST_F(ObsTest, ScoreCacheCountersReconcileWithMetrics) {
 TEST_F(ObsTest, ModelOutputsBitIdenticalWithObsOnAndOff) {
   ObsServeFixture f;
   obs::SetEnabled(false);
-  const std::vector<double> off = f.model->Forward(0).item_scores;
+  KucnetForward off_forward, on_forward;
+  ASSERT_TRUE(f.model->TryForward(0, ExecContext(), &off_forward).ok());
   obs::SetEnabled(true);
-  const std::vector<double> on = f.model->Forward(0).item_scores;
+  ASSERT_TRUE(f.model->TryForward(0, ExecContext(), &on_forward).ok());
+  const std::vector<double>& off = off_forward.item_scores;
+  const std::vector<double>& on = on_forward.item_scores;
   ASSERT_EQ(off.size(), on.size());
   ASSERT_FALSE(off.empty());
   EXPECT_EQ(std::memcmp(off.data(), on.data(), off.size() * sizeof(double)),

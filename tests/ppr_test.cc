@@ -72,6 +72,16 @@ Ckg SimpleRandomCkg(uint64_t seed, int64_t users = 5, int64_t items = 12,
   return BuildCkg(SimpleRandomInputs(seed, users, items, extra));
 }
 
+// An unbounded forward push (it cannot be cancelled, so failing is a bug).
+std::unordered_map<int64_t, real_t> Push(const Ckg& g, int64_t source,
+                                         real_t alpha = 0.15,
+                                         real_t epsilon = 1e-6) {
+  std::unordered_map<int64_t, real_t> estimate;
+  KUC_CHECK_OK(
+      TryPprForwardPush(g, source, alpha, epsilon, ExecContext(), &estimate));
+  return estimate;
+}
+
 // Same keys, same bits, same iteration order. Two maps built by the same
 // insertion sequence from the same bucket count iterate identically, so
 // order equality checks that a push replays the reference's insertions.
@@ -91,7 +101,7 @@ void ExpectIdenticalMaps(const std::unordered_map<int64_t, real_t>& actual,
 // A push from `source` into a fresh map must replay the oracle push.
 void ExpectPushMatchesOracle(const Ckg& g, int64_t source, real_t alpha,
                              real_t epsilon, const std::string& what) {
-  const auto push = PprForwardPush(g, source, alpha, epsilon);
+  const auto push = Push(g, source, alpha, epsilon);
   const auto oracle = testing::OraclePprPush(g, source, alpha, epsilon);
   ExpectIdenticalMaps(push, oracle.estimate,
                       what + " source " + std::to_string(source));
@@ -131,7 +141,7 @@ TEST(PprTest, ForwardPushApproximatesPowerIteration) {
   SparseMatrix m = g.AdjacencyMatrix().ColumnNormalized();
   const int64_t src = g.UserNode(2);
   const auto exact = PprPowerIteration(m, src, 0.15, 200);
-  const auto push = PprForwardPush(g, src, 0.15, 1e-9);
+  const auto push = Push(g, src, 0.15, 1e-9);
   for (int64_t v = 0; v < g.num_nodes(); ++v) {
     const auto it = push.find(v);
     const real_t approx = it == push.end() ? 0.0 : it->second;
@@ -145,7 +155,7 @@ TEST(PprTest, PushUndershootBound) {
   SparseMatrix m = g.AdjacencyMatrix().ColumnNormalized();
   const int64_t src = g.UserNode(0);
   const auto exact = PprPowerIteration(m, src, 0.15, 300);
-  const auto push = PprForwardPush(g, src, 0.15, 1e-4);
+  const auto push = Push(g, src, 0.15, 1e-4);
   for (const auto& [node, value] : push) {
     EXPECT_LE(value, exact[node] + 1e-9) << "node " << node;
     EXPECT_GE(value, 0.0);
@@ -154,7 +164,7 @@ TEST(PprTest, PushUndershootBound) {
 
 TEST(PprTest, PushMassAtMostOne) {
   Ckg g = SimpleRandomCkg(6);
-  const auto push = PprForwardPush(g, g.UserNode(1), 0.15, 1e-8);
+  const auto push = Push(g, g.UserNode(1), 0.15, 1e-8);
   real_t total = 0.0;
   for (const auto& [node, value] : push) total += value;
   EXPECT_LE(total, 1.0 + 1e-9);
@@ -312,7 +322,7 @@ TEST(PprTableTest, FromVectorsRoundTrips) {
   const PprTable computed = PprTable::Compute(g);
   std::vector<std::unordered_map<int64_t, real_t>> vectors;
   for (int64_t u = 0; u < g.num_users(); ++u) {
-    vectors.push_back(PprForwardPush(g, g.UserNode(u)));
+    vectors.push_back(Push(g, g.UserNode(u)));
   }
   const auto maps = vectors;
   const PprTable wrapped = PprTable::FromVectors(std::move(vectors));
@@ -409,7 +419,7 @@ TEST(PprEdgeCaseTest, IsolatedUserKeepsMassAtSourceWithoutCrashing) {
   const std::vector<std::array<int64_t, 2>> inter = {{0, 0}, {1, 1}};
   const std::vector<std::array<int64_t, 3>> kg;
   Ckg g = Ckg::Build(3, 2, 2, 1, inter, kg);
-  const auto push = PprForwardPush(g, g.UserNode(2), 0.15, 1e-8);
+  const auto push = Push(g, g.UserNode(2), 0.15, 1e-8);
   ASSERT_EQ(push.size(), 1u);
   EXPECT_NEAR(push.at(g.UserNode(2)), 1.0, 1e-9);
   PprTable table = PprTable::Compute(g);
@@ -458,7 +468,7 @@ TEST(PprOracleTest, PushMatchesOracleOnGraphWithDanglingNodes) {
       {0, 0, 3}, {1, 0, 3}, {2, 0, 4}, {4, 0, 5}};
   Ckg g = Ckg::Build(4, 3, 18, 1, inter, kg);
   for (int64_t source = 0; source < g.num_nodes(); ++source) {
-    const auto push = PprForwardPush(g, source, 0.2, 1e-7);
+    const auto push = Push(g, source, 0.2, 1e-7);
     const testing::OraclePprResult oracle =
         testing::OraclePprPush(g, source, 0.2, 1e-7);
     ASSERT_EQ(push.size(), oracle.estimate.size()) << "source " << source;
@@ -500,7 +510,7 @@ TEST(PprOracleTest, DanglingSourceAgainstDenseReference) {
   // back-edge from the item), plus kg id 2 fully dangling.
   Ckg g = Ckg::Build(1, 1, 3, 1, inter, kg);
   const real_t epsilon = 1e-8;
-  const auto push = PprForwardPush(g, g.UserNode(0), 0.15, epsilon);
+  const auto push = Push(g, g.UserNode(0), 0.15, epsilon);
   const testing::OracleDensePpr dense =
       testing::OraclePprDense(g, g.UserNode(0), 0.15, 600);
   real_t degree_sum = 0.0, undershoot = 0.0;

@@ -115,8 +115,11 @@ TEST(CkgStoreTest, PprForwardPushIsBitwiseIdenticalAfterContainerRoundTrip) {
                              &loaded, nullptr)
                   .ok());
   for (int64_t source = 0; source < built.num_nodes(); ++source) {
-    const auto a = PprForwardPush(built, source);
-    const auto b = PprForwardPush(loaded, source);
+    std::unordered_map<int64_t, real_t> a, b;
+    ASSERT_TRUE(
+        TryPprForwardPush(built, source, 0.15, 1e-6, ExecContext(), &a).ok());
+    ASSERT_TRUE(
+        TryPprForwardPush(loaded, source, 0.15, 1e-6, ExecContext(), &b).ok());
     ASSERT_EQ(a.size(), b.size()) << "source " << source;
     for (const auto& [node, value] : a) {
       const auto it = b.find(node);

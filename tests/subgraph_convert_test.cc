@@ -33,7 +33,9 @@ TEST(FromLayeredEdgesTest, PreservesEveryEdge) {
   const auto items = ckg.ItemsOfUser(0);
   ASSERT_FALSE(items.empty());
   const int64_t item = ckg.ItemNode(items[0]);
-  const LayeredEdges layered = ExtractUiComputationGraph(ckg, user, item, 3);
+  LayeredEdges layered;
+  ASSERT_TRUE(TryExtractUiComputationGraph(ckg, user, item, 3, ExecContext(),
+                                           &layered).ok());
   ASSERT_GT(layered.TotalEdges(), 0);
 
   const UserCompGraph graph = FromLayeredEdges(layered.layers, user);
@@ -83,8 +85,9 @@ TEST(UiComputationGraphTest, EdgeCountMonotoneInDepth) {
   const int64_t item = ckg.ItemNode(items[0]);
   int64_t prev_edges = -1;
   for (int32_t depth = 1; depth <= 4; ++depth) {
-    const LayeredEdges layered =
-        ExtractUiComputationGraph(ckg, user, item, depth);
+    LayeredEdges layered;
+    ASSERT_TRUE(TryExtractUiComputationGraph(ckg, user, item, depth,
+                                             ExecContext(), &layered).ok());
     // Deeper horizons can only admit more total structure.
     EXPECT_GE(layered.TotalEdges(), prev_edges);
     prev_edges = layered.TotalEdges();
