@@ -167,11 +167,18 @@ void MaybeEnableObs(const std::map<std::string, std::string>& flags) {
   }
 }
 
-/// Writes the requested exports at the end of a command. Export failures are
-/// diagnostics trouble, not command failure: warn and keep the exit code.
-void MaybeExportObs(const std::map<std::string, std::string>& flags) {
+/// Writes the requested exports at the end of a command. The metrics are the
+/// process-wide registry merged with the registries of the serving
+/// instances the command ran (`instances`). Export failures are diagnostics
+/// trouble, not command failure: warn and keep the exit code.
+void MaybeExportObs(const std::map<std::string, std::string>& flags,
+                    std::vector<const obs::MetricsRegistry*> instances = {}) {
   if (const std::string path = FlagOr(flags, "metrics_out", ""); !path.empty()) {
-    const Status st = obs::WritePrometheusTextFile(obs::DefaultRegistry(), path);
+    obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
+    for (const auto* registry : instances) {
+      snapshot.MergeFrom(registry->Snapshot());
+    }
+    const Status st = obs::WritePrometheusTextFile(snapshot, path);
     if (st.ok()) {
       std::printf("metrics written to %s\n", path.c_str());
     } else {
@@ -201,14 +208,27 @@ bool LoadWeights(Kucnet* model, const std::string& path) {
 }
 
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
+  int64_t seed;
+  if (!ParseIntFlag(flags, "seed", 1, 0, std::numeric_limits<int64_t>::max(),
+                    &seed)) {
+    return 2;
+  }
   const std::string config_name = FlagOr(flags, "config", "synth-lastfm");
   const std::string split = FlagOr(flags, "split", "traditional");
   const std::string out = FlagOr(flags, "out", ".");
-  const uint64_t seed = std::stoull(FlagOr(flags, "seed", "1"));
+  const std::vector<std::string> configs = SynthConfigNames();
+  if (std::find(configs.begin(), configs.end(), config_name) ==
+      configs.end()) {
+    std::fprintf(stderr, "unknown config: %s\nvalid configs:",
+                 config_name.c_str());
+    for (const auto& name : configs) std::fprintf(stderr, " %s", name.c_str());
+    std::fprintf(stderr, "\n");
+    return 1;
+  }
 
   const SyntheticData synth = GenerateSynthetic(SynthConfigByName(config_name));
   const RawData& raw = synth.raw;
-  Rng rng(seed);
+  Rng rng(static_cast<uint64_t>(seed));
   Dataset dataset;
   if (split == "traditional") {
     dataset = TraditionalSplit(raw, 0.2, rng);
@@ -235,11 +255,21 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
 
 int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
                        bool train) {
+  // -1 epochs = the model's default.
+  int64_t epochs, sample_k, depth, checkpoint_every;
+  const int64_t kIntMax = std::numeric_limits<int>::max();
+  if (!ParseIntFlag(flags, "epochs", -1, -1, kIntMax, &epochs) ||
+      !ParseIntFlag(flags, "k", 30, 1, std::numeric_limits<int64_t>::max(),
+                    &sample_k) ||
+      !ParseIntFlag(flags, "depth", 3, 1, 64, &depth) ||
+      !ParseIntFlag(flags, "checkpoint_every", 1, 0, kIntMax,
+                    &checkpoint_every)) {
+    return 2;
+  }
   MaybeEnableObs(flags);
   const std::string data_dir = FlagOr(flags, "data", ".");
   const std::string model_name = FlagOr(flags, "model", "KUCNet");
   const std::string ckpt = FlagOr(flags, "ckpt", "");
-  const int epochs = std::stoi(FlagOr(flags, "epochs", "-1"));
   const std::vector<std::string> models = AllModelNames();
   if (std::find(models.begin(), models.end(), model_name) == models.end()) {
     std::fprintf(stderr, "unknown model: %s\nvalid models:",
@@ -264,8 +294,8 @@ int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
   ctx.dataset = &dataset;
   ctx.ckg = &ckg;
   ctx.ppr = &ppr;
-  ctx.kucnet.sample_k = std::stoll(FlagOr(flags, "k", "30"));
-  ctx.kucnet.depth = std::stoi(FlagOr(flags, "depth", "3"));
+  ctx.kucnet.sample_k = sample_k;
+  ctx.kucnet.depth = static_cast<int>(depth);
   auto model = CreateModel(model_name, ctx);
   auto* kucnet = dynamic_cast<Kucnet*>(model.get());
   if (!ckpt.empty() && kucnet == nullptr) {
@@ -276,10 +306,11 @@ int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
 
   if (train) {
     TrainOptions opts;
-    opts.epochs = epochs >= 0 ? epochs : DefaultEpochs(model_name);
+    opts.epochs =
+        epochs >= 0 ? static_cast<int>(epochs) : DefaultEpochs(model_name);
     opts.verbose = true;
     opts.checkpoint_dir = FlagOr(flags, "checkpoint_dir", "");
-    opts.checkpoint_every = std::stoi(FlagOr(flags, "checkpoint_every", "1"));
+    opts.checkpoint_every = static_cast<int>(checkpoint_every);
     opts.resume = FlagOr(flags, "resume", "false") == "true";
     const TrainResult result = TrainModel(*model, dataset, opts);
     if (result.resumed_from_epoch > 0) {
@@ -428,7 +459,11 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         static_cast<long long>(stats.shards.latency.PercentileUpperBound(0.5)),
         static_cast<long long>(
             stats.shards.latency.PercentileUpperBound(0.99)));
-    MaybeExportObs(flags);
+    std::vector<const obs::MetricsRegistry*> instances = {&router.metrics()};
+    for (int s = 0; s < router.num_shards(); ++s) {
+      instances.push_back(&router.shard(s).metrics());
+    }
+    MaybeExportObs(flags, std::move(instances));
     return 0;
   }
 
@@ -472,7 +507,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   std::printf("\nlatency p50 <= %lldus  p99 <= %lldus\n",
               static_cast<long long>(stats.latency.PercentileUpperBound(0.5)),
               static_cast<long long>(stats.latency.PercentileUpperBound(0.99)));
-  MaybeExportObs(flags);
+  MaybeExportObs(flags, {&server.metrics()});
   return 0;
 }
 
@@ -581,7 +616,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
               static_cast<long long>(answered),
               static_cast<long long>(end - begin),
               static_cast<long long>(unanswered));
-  MaybeExportObs(flags);
+  MaybeExportObs(flags, {&server.metrics()});
   return 0;
 }
 

@@ -272,6 +272,11 @@ SyntheticConfig SynthDisGeNetConfig() {
   return cfg;
 }
 
+std::vector<std::string> SynthConfigNames() {
+  return {"synth-lastfm", "synth-amazon-book", "synth-ifashion",
+          "synth-disgenet"};
+}
+
 SyntheticConfig SynthConfigByName(const std::string& name) {
   if (name == "synth-lastfm") return SynthLastFmConfig();
   if (name == "synth-amazon-book") return SynthAmazonBookConfig();

@@ -86,8 +86,11 @@ SyntheticConfig SynthAmazonBookConfig();
 SyntheticConfig SynthIFashionConfig();
 SyntheticConfig SynthDisGeNetConfig();
 
-/// Lookup by name ("synth-lastfm", "synth-amazon-book", "synth-ifashion",
-/// "synth-disgenet"); aborts on unknown names.
+/// The names SynthConfigByName accepts: "synth-lastfm",
+/// "synth-amazon-book", "synth-ifashion", "synth-disgenet".
+std::vector<std::string> SynthConfigNames();
+
+/// Lookup by name (one of SynthConfigNames()); aborts on unknown names.
 SyntheticConfig SynthConfigByName(const std::string& name);
 
 }  // namespace kucnet

@@ -103,10 +103,10 @@ std::string ToChromeTraceJson(const std::vector<TraceEvent>& events) {
   return out.str();
 }
 
-Status WritePrometheusTextFile(const MetricsRegistry& registry,
+Status WritePrometheusTextFile(const MetricsSnapshot& snapshot,
                                const std::string& path) {
   return AtomicWriteFile(DefaultFileSystem(), path,
-                         ToPrometheusText(registry.Snapshot()));
+                         ToPrometheusText(snapshot));
 }
 
 Status WriteChromeTraceFile(const TraceRecorder& recorder,

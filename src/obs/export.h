@@ -29,8 +29,8 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 /// chrome://tracing or https://ui.perfetto.dev.
 std::string ToChromeTraceJson(const std::vector<TraceEvent>& events);
 
-/// Snapshot `registry` and atomically write the Prometheus text to `path`.
-Status WritePrometheusTextFile(const MetricsRegistry& registry,
+/// Atomically writes the Prometheus text of `snapshot` to `path`.
+Status WritePrometheusTextFile(const MetricsSnapshot& snapshot,
                                const std::string& path);
 
 /// Collect `recorder` and atomically write the Chrome trace JSON to `path`.

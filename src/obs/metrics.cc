@@ -252,9 +252,17 @@ MetricsRegistry& DefaultRegistry() {
   return *registry;
 }
 
-void Count(const std::string& name, int64_t delta) {
-  if (!Enabled()) return;
-  DefaultRegistry().GetCounter(name).Add(delta);
+void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
+  for (const auto& [name, value] : other.counters) {
+    counters[name] = SaturatingAdd(counters[name], value);
+  }
+  for (const auto& [name, value] : other.gauges) {
+    gauges[name] = SaturatingAdd(gauges[name], value);
+  }
+  for (const auto& [name, histogram] : other.histograms) {
+    const auto [it, inserted] = histograms.emplace(name, histogram);
+    if (!inserted) it->second.MergeFrom(histogram);
+  }
 }
 
 }  // namespace kucnet::obs

@@ -208,6 +208,11 @@ class Histogram {
 /// Plain values of every metric at one point in time; what the exporters
 /// consume. Callback gauges are evaluated during Snapshot().
 struct MetricsSnapshot {
+  /// Adds `other` in, series by series (saturating; histograms bucket-wise;
+  /// a series only `other` has is copied): how several registries, e.g. a
+  /// fleet's shards, become one view.
+  void MergeFrom(const MetricsSnapshot& other);
+
   std::map<std::string, int64_t> counters;
   std::map<std::string, int64_t> gauges;
   std::map<std::string, HistogramData> histograms;
@@ -219,6 +224,8 @@ struct MetricsSnapshot {
 /// deleted, and `ResetForTest` zeroes values without invalidating
 /// references), so call sites may cache the reference in a function-local
 /// static — which is exactly what the KUC_OBS_* macros do.
+/// Besides `DefaultRegistry()`, each RecServer and ShardRouter owns one and
+/// counts into it whether or not `Enabled()` is set.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -256,11 +263,6 @@ class MetricsRegistry {
 /// on first use; registers the built-in thread-pool callback gauges
 /// (threadpool.queue_depth, threadpool.tasks_submitted).
 MetricsRegistry& DefaultRegistry();
-
-/// Counter add with a runtime (non-literal) name: a mutex-guarded map lookup
-/// per call, for low-frequency events whose name is computed (e.g. per-shard
-/// fleet counts). Hot paths use KUC_OBS_COUNT or a reference resolved once.
-void Count(const std::string& name, int64_t delta = 1);
 
 }  // namespace kucnet::obs
 

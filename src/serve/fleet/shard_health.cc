@@ -17,16 +17,26 @@ const char* ShardHealthName(ShardHealth state) {
 }
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options,
-                               const Clock* clock)
-    : options_(options), clock_(clock != nullptr ? clock : &RealClock()) {
+                               const Clock* clock,
+                               obs::MetricsRegistry& metrics,
+                               const std::string& prefix)
+    : options_(options),
+      clock_(clock != nullptr ? clock : &RealClock()),
+      transitions_(metrics.GetCounter(prefix + "health_transitions")),
+      probes_(metrics.GetCounter(prefix + "half_open_probes")) {
   KUC_CHECK_GT(options_.failure_threshold, 0);
   KUC_CHECK_GT(options_.open_cooldown_micros, 0);
+  for (int h = 0; h < kNumShardHealthStates; ++h) {
+    entered_[h] = &metrics.GetCounter(
+        prefix + "health." + ShardHealthName(static_cast<ShardHealth>(h)));
+  }
 }
 
 void CircuitBreaker::TransitionLocked(ShardHealth next) {
   if (state_ == next) return;
   state_ = next;
-  ++transitions_;
+  transitions_.Add();
+  entered_[static_cast<int>(next)]->Add();
 }
 
 bool CircuitBreaker::AllowRequest() {
@@ -40,10 +50,10 @@ bool CircuitBreaker::AllowRequest() {
         return false;
       }
       TransitionLocked(ShardHealth::kHalfOpen);
-      ++probes_;
+      probes_.Add();
       return true;
     case ShardHealth::kHalfOpen:
-      ++probes_;
+      probes_.Add();
       return true;
   }
   return true;
@@ -76,19 +86,13 @@ ShardHealth CircuitBreaker::state() const {
   return state_;
 }
 
-int64_t CircuitBreaker::transitions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return transitions_;
-}
+int64_t CircuitBreaker::transitions() const { return transitions_.Value(); }
 
 int64_t CircuitBreaker::consecutive_failures() const {
   std::lock_guard<std::mutex> lock(mu_);
   return consecutive_failures_;
 }
 
-int64_t CircuitBreaker::probes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return probes_;
-}
+int64_t CircuitBreaker::probes() const { return probes_.Value(); }
 
 }  // namespace kucnet

@@ -1,9 +1,12 @@
 #ifndef KUCNET_SERVE_FLEET_SHARD_HEALTH_H_
 #define KUCNET_SERVE_FLEET_SHARD_HEALTH_H_
 
+#include <array>
 #include <cstdint>
 #include <mutex>
+#include <string>
 
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 /// \file
@@ -43,7 +46,11 @@ struct CircuitBreakerOptions {
 /// timestamp comes from the injected clock.
 class CircuitBreaker {
  public:
-  CircuitBreaker(CircuitBreakerOptions options, const Clock* clock);
+  /// Counts into `metrics`, which must outlive the breaker:
+  /// `<prefix>health_transitions`, `<prefix>health.<state>` (transitions
+  /// into each state) and `<prefix>half_open_probes`.
+  CircuitBreaker(CircuitBreakerOptions options, const Clock* clock,
+                 obs::MetricsRegistry& metrics, const std::string& prefix);
 
   /// Gate consulted before an attempt. Closed: always true. Open: false
   /// until the cooldown elapses, at which point the breaker transitions to
@@ -73,13 +80,14 @@ class CircuitBreaker {
 
   CircuitBreakerOptions options_;
   const Clock* clock_;
+  obs::Counter& transitions_;
+  obs::Counter& probes_;
+  std::array<obs::Counter*, kNumShardHealthStates> entered_;
 
   mutable std::mutex mu_;
   ShardHealth state_ = ShardHealth::kClosed;
   int64_t consecutive_failures_ = 0;
   int64_t opened_micros_ = 0;  ///< when the breaker last tripped open
-  int64_t transitions_ = 0;
-  int64_t probes_ = 0;
 };
 
 }  // namespace kucnet

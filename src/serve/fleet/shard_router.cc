@@ -1,10 +1,9 @@
 #include "serve/fleet/shard_router.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
-#include <string_view>
+#include <iterator>
 #include <thread>
 
 #include "tensor/serialize.h"
@@ -49,14 +48,47 @@ bool BetterAnswer(int64_t a_latency, ServeTier a_tier, int64_t b_latency,
   return a_latency < b_latency;
 }
 
-/// Adds 1 to `fleet.shard.<shard>.<suffix>`, building the name only when
-/// observability is on.
-void CountShard(int shard, std::string_view suffix) {
-  if (obs::Enabled()) {
-    std::string name = "fleet.shard." + std::to_string(shard) + ".";
-    obs::Count(name.append(suffix), 1);
-  }
-}
+/// Indexes ShardRouter::counters_; the scalar ones also index kFleetSeries.
+enum FleetCounter {
+  kSubmitted, kQuotaShed, kAnswered, kFallbackAnswers, kAttempts, kRetries,
+  kHedges, kHedgesWon, kHedgesLost, kDrainingSkips,
+  kTier,                           // + tier: fleet.tier.<tier>
+  kPath = kTier + kNumServeTiers,  // + path: fleet.path.<path>
+};
+
+/// The series behind each router-wide FleetStats counter, in FleetCounter
+/// order.
+constexpr std::pair<const char*, int64_t FleetStats::*> kFleetSeries[] = {
+    {"fleet.submitted", &FleetStats::submitted},
+    {"fleet.quota_shed", &FleetStats::quota_shed},
+    {"fleet.answered", &FleetStats::answered},
+    {"fleet.fallback_answers", &FleetStats::fallback_answers},
+    {"fleet.attempts", &FleetStats::attempts},
+    {"fleet.retries", &FleetStats::retries},
+    {"fleet.hedges", &FleetStats::hedges},
+    {"fleet.hedges_won", &FleetStats::hedges_won},
+    {"fleet.hedges_lost", &FleetStats::hedges_lost},
+    {"fleet.draining_skips", &FleetStats::draining_skips},
+};
+static_assert(std::size(kFleetSeries) == kTier);
+
+/// Indexes one shard's row of ShardRouter::shard_counters_ and kShardSeries.
+enum ShardCounter {
+  kAnswers, kDownFailures, kErrorFailures, kSlowAttempts, kBreakerRejections,
+  kSwaps,
+};
+
+/// `fleet.shard.<k>.<suffix>` and the FleetStats field that sums it over
+/// the shards, in ShardCounter order.
+constexpr std::pair<const char*, int64_t FleetStats::*> kShardSeries[] = {
+    {"answers", &FleetStats::shard_answers},
+    {"down_failures", &FleetStats::shard_down_failures},
+    {"error_failures", &FleetStats::shard_error_failures},
+    {"slow_attempts", &FleetStats::slow_attempt_failures},
+    {"breaker_rejections", &FleetStats::breaker_rejections},
+    {"swaps", &FleetStats::swaps},
+};
+static_assert(std::size(kShardSeries) == kSwaps + 1);
 
 }  // namespace
 
@@ -97,6 +129,17 @@ ShardRouter::ShardRouter(std::vector<Kucnet*> shard_models,
   KUC_CHECK_GT(options_.drain_poll_micros, 0);
 
   const int num_shards = static_cast<int>(models_.size());
+  for (const auto& [name, field] : kFleetSeries) {
+    counters_.push_back(&metrics_.GetCounter(name));
+  }
+  for (int t = 0; t < kNumServeTiers; ++t) {
+    counters_.push_back(&metrics_.GetCounter(
+        std::string("fleet.tier.") + ServeTierName(static_cast<ServeTier>(t))));
+  }
+  for (int p = 0; p < kNumFleetPaths; ++p) {
+    counters_.push_back(&metrics_.GetCounter(
+        std::string("fleet.path.") + FleetPathName(static_cast<FleetPath>(p))));
+  }
   draining_.assign(num_shards, false);
   shard_inflight_.assign(num_shards, 0);
 
@@ -133,11 +176,16 @@ ShardRouter::ShardRouter(std::vector<Kucnet*> shard_models,
   server_options.fault = options_.stage_fault;
   servers_.reserve(num_shards);
   breakers_.reserve(num_shards);
+  shard_counters_.resize(num_shards);
   for (int s = 0; s < num_shards; ++s) {
     servers_.push_back(std::make_unique<RecServer>(models_[s], dataset, ckg,
                                                    ppr, server_options));
-    breakers_.push_back(
-        std::make_unique<CircuitBreaker>(options_.breaker, clock_));
+    const std::string prefix = "fleet.shard." + std::to_string(s) + ".";
+    breakers_.push_back(std::make_unique<CircuitBreaker>(
+        options_.breaker, clock_, metrics_, prefix));
+    for (const auto& [suffix, field] : kShardSeries) {
+      shard_counters_[s].push_back(&metrics_.GetCounter(prefix + suffix));
+    }
   }
 }
 
@@ -228,7 +276,7 @@ int ShardRouter::NextCandidate(const std::vector<int>& prefs, size_t* cursor,
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (draining_[shard]) {
-        ++stats_.draining_skips;
+        counters_[kDrainingSkips]->Add();
         note("shard " + std::to_string(shard) + ": draining for swap");
         continue;
       }
@@ -243,10 +291,9 @@ int ShardRouter::NextCandidate(const std::vector<int>& prefs, size_t* cursor,
     if (!breakers_[shard]->AllowRequest()) {
       {
         std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.breaker_rejections;
         --shard_inflight_[shard];
       }
-      CountShard(shard, "breaker_rejections");
+      shard_counters_[shard][kBreakerRejections]->Add();
       note("shard " + std::to_string(shard) + ": breaker open");
       continue;
     }
@@ -270,11 +317,7 @@ ShardRouter::Attempt ShardRouter::AttemptShard(int shard,
     if (verdict.down) {
       attempt.latency_micros = clock_->NowMicros() - t0;
       attempt.reason = "shard " + std::to_string(shard) + ": down (injected)";
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.shard_down_failures;
-      }
-      CountShard(shard, "down_failures");
+      shard_counters_[shard][kDownFailures]->Add();
       return attempt;
     }
     // A stalling replica eats the fleet's time *before* answering — the
@@ -292,11 +335,7 @@ ShardRouter::Attempt ShardRouter::AttemptShard(int shard,
         "shard " + std::to_string(shard) +
         (response.status == ResponseStatus::kOverloaded ? ": overloaded"
                                                         : ": shutting down");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.shard_error_failures;
-    }
-    CountShard(shard, "error_failures");
+    shard_counters_[shard][kErrorFailures]->Add();
     return attempt;
   }
   attempt.answered = true;
@@ -307,11 +346,7 @@ ShardRouter::Attempt ShardRouter::AttemptShard(int shard,
     attempt.reason = "shard " + std::to_string(shard) + ": answered in " +
                      std::to_string(attempt.latency_micros) +
                      "us, over the health bound";
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.slow_attempt_failures;
-    }
-    CountShard(shard, "slow_attempts");
+    shard_counters_[shard][kSlowAttempts]->Add();
   }
   return attempt;
 }
@@ -353,11 +388,7 @@ void ShardRouter::FleetFallback(const RecRequest& request,
 
 FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
   const int64_t start_micros = clock_->NowMicros();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-  }
-  KUC_OBS_COUNT("fleet.submitted", 1);
+  counters_[kSubmitted]->Add();
 
   FleetResponse out;
 
@@ -369,12 +400,8 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
         " over admission quota";
     out.fleet_reason = out.response.degrade_reason;
     out.total_micros = clock_->NowMicros() - start_micros;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.quota_shed;
-      ++stats_.path_count[static_cast<int>(out.path)];
-    }
-    KUC_OBS_COUNT("fleet.quota_shed", 1);
+    counters_[kQuotaShed]->Add();
+    counters_[kPath + static_cast<int>(out.path)]->Add();
     return out;
   }
 
@@ -385,16 +412,10 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
     out.fleet_reason += reason;
   };
   const auto record_breaker = [this](int shard, bool success) {
-    const ShardHealth before = breakers_[shard]->state();
     if (success) {
       breakers_[shard]->RecordSuccess();
     } else {
       breakers_[shard]->RecordFailure();
-    }
-    const ShardHealth after = breakers_[shard]->state();
-    if (after != before) {
-      CountShard(shard, "health_transitions");
-      CountShard(shard, std::string("health.") + ShardHealthName(after));
     }
   };
 
@@ -449,11 +470,7 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
       const int sibling = NextCandidate(prefs, &cursor, &out);
       if (sibling >= 0) {
         out.hedged = true;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.hedges;
-        }
-        KUC_OBS_COUNT("fleet.hedges", 1);
+        counters_[kHedges]->Add();
         ++out.attempts;
         Attempt hedge = AttemptShard(sibling, request);
         EndShardAttempt(sibling);
@@ -470,16 +487,7 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
         } else {
           note("hedge to shard " + std::to_string(sibling) + " lost");
         }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (won) {
-            ++stats_.hedges_won;
-          } else {
-            ++stats_.hedges_lost;
-          }
-        }
-        KUC_OBS_COUNT(out.hedge_won ? "fleet.hedges_won" : "fleet.hedges_lost",
-                      1);
+        counters_[won ? kHedgesWon : kHedgesLost]->Add();
       }
     }
     out.response = std::move(accepted.response);
@@ -487,38 +495,16 @@ FleetResponse ShardRouter::Route(const FleetRequest& fleet_request) {
     out.path = out.hedge_won ? FleetPath::kHedge
                : out.retries > 0 ? FleetPath::kRetry
                                  : FleetPath::kPrimary;
-    CountShard(accepted_shard, "answers");
+    shard_counters_[accepted_shard][kAnswers]->Add();
   }
 
   out.total_micros = clock_->NowMicros() - start_micros;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.answered;
-    if (out.shard >= 0) {
-      ++stats_.shard_answers;
-    } else {
-      ++stats_.fallback_answers;
-    }
-    stats_.attempts += out.attempts;
-    stats_.retries += out.retries;
-    ++stats_.tier_count[static_cast<int>(out.response.tier)];
-    ++stats_.path_count[static_cast<int>(out.path)];
-  }
-  KUC_OBS_COUNT("fleet.answered", 1);
-  if (out.shard < 0) KUC_OBS_COUNT("fleet.fallback_answers", 1);
-  if (obs::Enabled()) {
-    // Resolved once, so that counting an answer builds no name.
-    static const std::array<obs::Counter*, kNumFleetPaths> path_counters = [] {
-      std::array<obs::Counter*, kNumFleetPaths> counters;
-      for (int p = 0; p < kNumFleetPaths; ++p) {
-        counters[p] = &obs::DefaultRegistry().GetCounter(
-            std::string("fleet.path.") +
-            FleetPathName(static_cast<FleetPath>(p)));
-      }
-      return counters;
-    }();
-    path_counters[static_cast<int>(out.path)]->Add(1);
-  }
+  counters_[kAnswered]->Add();
+  if (out.shard < 0) counters_[kFallbackAnswers]->Add();
+  counters_[kAttempts]->Add(out.attempts);
+  counters_[kRetries]->Add(out.retries);
+  counters_[kTier + static_cast<int>(out.response.tier)]->Add();
+  counters_[kPath + static_cast<int>(out.path)]->Add();
   return out;
 }
 
@@ -584,9 +570,8 @@ Status ShardRouter::RollingSwap(const std::string& checkpoint_path) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       draining_[s] = false;
-      ++stats_.swaps;
     }
-    CountShard(s, "swaps");
+    shard_counters_[s][kSwaps]->Add();
     observe(s, "readmitted");
   }
   return Status::Ok();
@@ -594,17 +579,30 @@ Status ShardRouter::RollingSwap(const std::string& checkpoint_path) {
 
 FleetStats ShardRouter::stats() const {
   FleetStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
+  for (int c = 0; c < kTier; ++c) {
+    out.*kFleetSeries[c].second = counters_[c]->Value();
+  }
+  for (const auto& shard : shard_counters_) {
+    for (size_t c = 0; c < shard.size(); ++c) {
+      int64_t& field = out.*kShardSeries[c].second;
+      field = obs::SaturatingAdd(field, shard[c]->Value());
+    }
+  }
+  for (int t = 0; t < kNumServeTiers; ++t) {
+    out.tier_count[t] = counters_[kTier + t]->Value();
+  }
+  for (int p = 0; p < kNumFleetPaths; ++p) {
+    out.path_count[p] = counters_[kPath + p]->Value();
   }
   for (const auto& breaker : breakers_) {
     out.breaker_transitions += breaker->transitions();
     out.half_open_probes += breaker->probes();
   }
+  obs::MetricsSnapshot shards;
   for (const auto& server : servers_) {
-    out.shards.MergeFrom(server->stats());
+    shards.MergeFrom(server->metrics().Snapshot());
   }
+  out.shards = ReadServerStats(shards);
   return out;
 }
 

@@ -138,7 +138,8 @@ struct ShardRouterOptions {
   std::function<void(int shard, const char* phase)> swap_observer;
 };
 
-/// Aggregated observable behavior of the fleet since construction.
+/// Aggregated observable behavior of the fleet since construction: a
+/// read-out of the router's registry (`fleet.*`) and its shards'.
 struct FleetStats {
   int64_t submitted = 0;       ///< Route calls
   int64_t quota_shed = 0;      ///< rejected at fleet admission (tenant quota)
@@ -162,9 +163,11 @@ struct FleetStats {
   std::array<int64_t, kNumServeTiers> tier_count{};
   /// Per-path answer counts, indexed by FleetPath.
   std::array<int64_t, kNumFleetPaths> path_count{};
-  /// Every shard server's ServerStats merged (ServerStats::MergeFrom).
+  /// Every shard server's ServerStats summed (ReadServerStats of the merged
+  /// shard snapshots).
   ServerStats shards;
 };
+
 
 /// The fleet front end. One model per shard (all pointers must outlive the
 /// router); models are non-const because rolling swap hot-reloads weights
@@ -210,8 +213,11 @@ class ShardRouter {
   ShardHealth shard_health(int shard) const;
   bool shard_draining(int shard) const;
 
-  /// Fleet-wide snapshot (counters + merged per-shard ServerStats).
+  /// Fleet-wide read-out; like RecServer::stats(), exact once traffic stops.
   FleetStats stats() const;
+
+  /// The `fleet.*` series; each shard's are in `shard(k).metrics()`.
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   const RecServer& shard(int s) const { return *servers_[s]; }
   RecServer* mutable_shard(int s) { return servers_[s].get(); }
@@ -270,7 +276,12 @@ class ShardRouter {
   std::vector<std::vector<int64_t>> train_items_;
   std::vector<ScoredItem> popularity_;
 
-  /// Guards stats_, tenants_, draining_, shard_inflight_, jitter_rng_.
+  obs::MetricsRegistry metrics_;
+  /// Handles into metrics_, indexed by the enums of shard_router.cc.
+  std::vector<obs::Counter*> counters_;
+  std::vector<std::vector<obs::Counter*>> shard_counters_;
+
+  /// Guards tenants_, draining_, shard_inflight_, jitter_rng_.
   mutable std::mutex mu_;
   struct TenantWindow {
     int64_t window_start = 0;
@@ -284,7 +295,6 @@ class ShardRouter {
   /// exactly the window the old queue_depth()-only drain raced with.
   std::vector<int64_t> shard_inflight_;
   Rng jitter_rng_;
-  FleetStats stats_;
 };
 
 }  // namespace kucnet

@@ -1,7 +1,7 @@
 #include "serve/rec_server.h"
 
 #include <algorithm>
-#include <array>
+#include <iterator>
 #include <utility>
 
 #include "obs/trace.h"
@@ -45,19 +45,49 @@ const char* DegradeStageName(ServeTier tier) {
   return tier == ServeTier::kCached ? "cache" : ServeTierName(tier);
 }
 
-using TierCounters = std::array<obs::Counter*, kNumServeTiers>;
+/// Indexes RecServer::counters_; the scalar ones also index kServeSeries.
+enum ServeCounter {
+  kSubmitted, kAdmitted, kShed, kCompleted, kDeadlineMissed, kFaultEvents,
+  kNonfinite, kCacheWarmed, kDegraded, kNoPprUser, kUnknownUser,
+  kForwardBatches, kBatchedRequests, kMultiUserBatches, kPreempted,
+  kTier,  // + tier: serve.tier.<tier>
+  kDegradeFault = kTier + kNumServeTiers,  // + tier: serve.degrade.fault.*
+  kDegradeDeadline = kDegradeFault + kNumServeTiers,
+  kNumServeCounters = kDegradeDeadline + kNumServeTiers,
+};
 
-/// The registry counters `prefix + name(tier)`, one per tier, resolved once
-/// so that counting a response builds no name.
-TierCounters ResolveTierCounters(const std::string& prefix,
-                                 const char* (*name)(ServeTier)) {
-  TierCounters counters;
-  for (int t = 0; t < kNumServeTiers; ++t) {
-    counters[t] = &obs::DefaultRegistry().GetCounter(
-        prefix + name(static_cast<ServeTier>(t)));
+/// The series behind each ServerStats counter, in ServeCounter order.
+constexpr std::pair<const char*, int64_t ServerStats::*> kServeSeries[] = {
+    {"serve.submitted", &ServerStats::submitted},
+    {"serve.admitted", &ServerStats::admitted},
+    {"serve.shed", &ServerStats::shed},
+    {"serve.completed", &ServerStats::completed},
+    {"serve.deadline_missed", &ServerStats::deadline_missed},
+    {"serve.fault_events", &ServerStats::fault_events},
+    {"serve.degrade.nonfinite", &ServerStats::nonfinite_scores},
+    {"serve.cache.warmed", &ServerStats::cache_warmed},
+    {"serve.degraded", &ServerStats::degraded},
+    {"serve.degrade.no_ppr_user", &ServerStats::no_ppr_user},
+    {"serve.degrade.unknown_user", &ServerStats::unknown_user},
+    {"serve.batch.forwards", &ServerStats::forward_batches},
+    {"serve.batch.requests", &ServerStats::batched_requests},
+    {"serve.batch.multi_user", &ServerStats::multi_user_batches},
+    {"serve.degrade.preempted", &ServerStats::deadline_preempted},
+};
+static_assert(std::size(kServeSeries) == kTier);
+
+std::string ServeCounterName(int counter) {
+  if (counter < kTier) return kServeSeries[counter].first;
+  const auto tier = static_cast<ServeTier>((counter - kTier) % kNumServeTiers);
+  if (counter < kDegradeFault) {
+    return std::string("serve.tier.") + ServeTierName(tier);
   }
-  return counters;
+  return std::string(counter < kDegradeDeadline ? "serve.degrade.fault."
+                                                : "serve.degrade.deadline.") +
+         DegradeStageName(tier);
 }
+
+constexpr char kLatencySeries[] = "serve.latency_micros";
 
 }  // namespace
 
@@ -75,30 +105,21 @@ const char* ServeTierName(ServeTier tier) {
   return "unknown";
 }
 
-void ServerStats::MergeFrom(const ServerStats& other) {
-  submitted = obs::SaturatingAdd(submitted, other.submitted);
-  admitted = obs::SaturatingAdd(admitted, other.admitted);
-  shed = obs::SaturatingAdd(shed, other.shed);
-  completed = obs::SaturatingAdd(completed, other.completed);
-  deadline_missed = obs::SaturatingAdd(deadline_missed, other.deadline_missed);
-  fault_events = obs::SaturatingAdd(fault_events, other.fault_events);
-  nonfinite_scores =
-      obs::SaturatingAdd(nonfinite_scores, other.nonfinite_scores);
-  cache_warmed = obs::SaturatingAdd(cache_warmed, other.cache_warmed);
-  degraded = obs::SaturatingAdd(degraded, other.degraded);
-  no_ppr_user = obs::SaturatingAdd(no_ppr_user, other.no_ppr_user);
-  unknown_user = obs::SaturatingAdd(unknown_user, other.unknown_user);
-  forward_batches = obs::SaturatingAdd(forward_batches, other.forward_batches);
-  batched_requests =
-      obs::SaturatingAdd(batched_requests, other.batched_requests);
-  multi_user_batches =
-      obs::SaturatingAdd(multi_user_batches, other.multi_user_batches);
-  deadline_preempted =
-      obs::SaturatingAdd(deadline_preempted, other.deadline_preempted);
+ServerStats ReadServerStats(const obs::MetricsSnapshot& snapshot) {
+  const auto counter = [&snapshot](const std::string& name) -> int64_t {
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0 : it->second;
+  };
+  ServerStats stats;
+  for (const auto& [name, field] : kServeSeries) stats.*field = counter(name);
   for (int t = 0; t < kNumServeTiers; ++t) {
-    tier_count[t] = obs::SaturatingAdd(tier_count[t], other.tier_count[t]);
+    stats.tier_count[t] = counter(ServeCounterName(kTier + t));
   }
-  latency.MergeFrom(other.latency);
+  if (const auto it = snapshot.histograms.find(kLatencySeries);
+      it != snapshot.histograms.end()) {
+    stats.latency = it->second;
+  }
+  return stats;
 }
 
 RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
@@ -110,7 +131,8 @@ RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
       ppr_(ppr),
       options_(options),
       clock_(options.clock != nullptr ? options.clock : &RealClock()),
-      cache_(options.cache, clock_),
+      latency_(metrics_.GetHistogram(kLatencySeries)),
+      cache_(options.cache, clock_, metrics_),
       train_items_(dataset->TrainItemsByUser()) {
   KUC_CHECK(model != nullptr);
   KUC_CHECK(dataset != nullptr);
@@ -124,6 +146,9 @@ RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
   KUC_CHECK_GT(options_.batch_max_users, 0);
   KUC_CHECK_GE(options_.batch_linger_micros, 0);
   KUC_CHECK_GE(options_.batch_queue_capacity, 0);
+  for (int c = 0; c < kNumServeCounters; ++c) {
+    counters_.push_back(&metrics_.GetCounter(ServeCounterName(c)));
+  }
 
   // Precompute the infallible last tier: items by training popularity.
   std::vector<int64_t> counts(dataset->num_items, 0);
@@ -165,11 +190,7 @@ RecServer::~RecServer() { Shutdown(); }
 
 std::future<RecResponse> RecServer::Submit(const RecRequest& request) {
   const int64_t now = clock_->NowMicros();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.submitted;
-  }
-  KUC_OBS_COUNT("serve.submitted", 1);
+  counters_[kSubmitted]->Add();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutting_down_) {
@@ -184,11 +205,7 @@ std::future<RecResponse> RecServer::Submit(const RecRequest& request) {
     // caller's future.get() hung until the destructor broke the promise.
     // An unknown user is answered inline too (Handle), before any stage
     // indexes per-user state with its id.
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.admitted;
-    }
-    KUC_OBS_COUNT("serve.admitted", 1);
+    counters_[kAdmitted]->Add();
     return ReadyResponse(Handle(request, now));
   }
   auto job = std::make_unique<ServeJob>();
@@ -198,32 +215,19 @@ std::future<RecResponse> RecServer::Submit(const RecRequest& request) {
   if (!pipeline_->TrySubmit(std::move(job))) {
     // Overload shedding: reject *now* with an explicit status. The caller
     // can retry with backoff; nothing ever blocks on a full queue.
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.shed;
-    }
-    KUC_OBS_COUNT("serve.shed", 1);
+    counters_[kShed]->Add();
     RecResponse response;
     response.status = ResponseStatus::kOverloaded;
     return ReadyResponse(std::move(response));
   }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.admitted;
-  }
-  KUC_OBS_COUNT("serve.admitted", 1);
+  counters_[kAdmitted]->Add();
   return future;
 }
 
 RecResponse RecServer::ServeSync(const RecRequest& request) {
   const int64_t now = clock_->NowMicros();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.submitted;
-    ++stats_.admitted;
-  }
-  KUC_OBS_COUNT("serve.submitted", 1);
-  KUC_OBS_COUNT("serve.admitted", 1);
+  counters_[kSubmitted]->Add();
+  counters_[kAdmitted]->Add();
   return Handle(request, now);
 }
 
@@ -236,8 +240,7 @@ void RecServer::Shutdown() {
 }
 
 ServerStats RecServer::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  return ReadServerStats(metrics_.Snapshot());
 }
 
 int64_t RecServer::WarmCache(int64_t max_users) {
@@ -268,11 +271,7 @@ int64_t RecServer::WarmCache(int64_t max_users) {
     cache_.Put(user, std::move(forward.item_scores), generation);
     ++warmed;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.cache_warmed = obs::SaturatingAdd(stats_.cache_warmed, warmed);
-  }
-  KUC_OBS_COUNT("serve.cache.warmed", warmed);
+  counters_[kCacheWarmed]->Add(warmed);
   return warmed;
 }
 
@@ -336,18 +335,12 @@ void RecServer::NoteFailure(ServeJob* job, ServeTier tier,
                             const Status& status) const {
   const bool fault = IsInjectedFault(status);
   if (fault) {
-    ++job->fault_events;
+    counters_[kFaultEvents]->Add();
   } else {
     job->deadline_missed = true;
   }
-  if (obs::Enabled()) {
-    static const TierCounters fault_counters =
-        ResolveTierCounters("serve.degrade.fault.", DegradeStageName);
-    static const TierCounters deadline_counters =
-        ResolveTierCounters("serve.degrade.deadline.", DegradeStageName);
-    (fault ? fault_counters : deadline_counters)[static_cast<int>(tier)]->Add(
-        1);
-  }
+  counters_[(fault ? kDegradeFault : kDegradeDeadline) + static_cast<int>(tier)]
+      ->Add();
   std::string& reason = job->response.degrade_reason;
   if (!reason.empty()) reason += "; ";
   reason += DegradeStageName(tier);
@@ -355,7 +348,7 @@ void RecServer::NoteFailure(ServeJob* job, ServeTier tier,
   reason += status.message();
 }
 
-void RecServer::TimeStage(ServeJob* job, const char* stage,
+void RecServer::TimeStage(ServeJob* job, ServeTier stage,
                           int64_t start_micros) const {
   job->response.stage_micros.push_back(
       {stage, clock_->NowMicros() - start_micros});
@@ -385,7 +378,7 @@ bool RecServer::StartFullTier(ServeJob* job) {
     NoteFailure(job, ServeTier::kFull,
                 ErrorStatus() << "deadline expired before execution "
                                  "(queued past the latency budget)");
-    TimeStage(job, "full", job->full_t0);
+    TimeStage(job, ServeTier::kFull, job->full_t0);
     return false;
   }
   // Snapshot the user's cache generation *before* the forward pass: if the
@@ -401,7 +394,7 @@ bool RecServer::StartFullTier(ServeJob* job) {
 
 void RecServer::FinishFullTier(ServeJob* job) {
   if (job->full_pre_expired) return;  // already noted and timed
-  TimeStage(job, "full", job->full_t0);
+  TimeStage(job, ServeTier::kFull, job->full_t0);
   if (!job->full_status.ok()) {
     NoteFailure(job, ServeTier::kFull, job->full_status);
   } else if (const int64_t bad = FirstNonFinite(job->forward.item_scores);
@@ -410,8 +403,7 @@ void RecServer::FinishFullTier(ServeJob* job) {
     // would poison the ranking; caching them would keep poisoning every
     // degraded request until max_age expiry. Reject the output here and
     // fall through the degrade chain (cached → PPR → popularity).
-    ++job->nonfinite;
-    KUC_OBS_COUNT("serve.degrade.nonfinite", 1);
+    counters_[kNonfinite]->Add();
     std::string& reason = job->response.degrade_reason;
     if (!reason.empty()) reason += "; ";
     reason += "full: non-finite score at item ";
@@ -447,7 +439,7 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
     } else {
       NoteFailure(job, ServeTier::kCached, status);
     }
-    TimeStage(job, "cache", t0);
+    TimeStage(job, ServeTier::kCached, t0);
   }
 
   // ---- Tier 3: PPR heuristic (PprRec ranking) ------------------------------
@@ -469,15 +461,14 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
       // The user lies outside the PPR table (streaming can add users past
       // it). This skip used to be silent — no reason, no counter — so the
       // drop to popularity was invisible in both the response and the stats.
-      ++job->no_ppr_user;
-      KUC_OBS_COUNT("serve.degrade.no_ppr_user", 1);
+      counters_[kNoPprUser]->Add();
       std::string& reason = job->response.degrade_reason;
       if (!reason.empty()) reason += "; ";
       reason += "heuristic: user ";
       reason += std::to_string(request.user);
       reason += " outside the PPR table";
     }
-    TimeStage(job, "heuristic", t0);
+    TimeStage(job, ServeTier::kHeuristic, t0);
   }
 
   // ---- Tier 4: global popularity (infallible) ------------------------------
@@ -517,7 +508,7 @@ void RecServer::ServePopularity(ServeJob* job) {
     }
   }
   response.tier = ServeTier::kPopularity;
-  TimeStage(job, "popularity", t0);
+  TimeStage(job, ServeTier::kPopularity, t0);
 }
 
 bool RecServer::KnownUser(int64_t user) const {
@@ -530,31 +521,11 @@ RecResponse RecServer::FinalizeJob(ServeJob* job) {
   response.degraded = response.tier != ServeTier::kFull;
   response.total_micros = clock_->NowMicros() - job->submit_micros;
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.completed;
-    ++stats_.tier_count[static_cast<int>(response.tier)];
-    if (response.degraded) ++stats_.degraded;
-    if (job->deadline_missed) ++stats_.deadline_missed;
-    if (job->deadline_preempted) ++stats_.deadline_preempted;
-    stats_.fault_events += job->fault_events;
-    stats_.nonfinite_scores += job->nonfinite;
-    stats_.no_ppr_user += job->no_ppr_user;
-    stats_.unknown_user += job->unknown_user;
-    stats_.latency.Record(response.total_micros);
-  }
-  KUC_OBS_COUNT("serve.completed", 1);
-  if (response.degraded) KUC_OBS_COUNT("serve.degraded", 1);
-  if (job->deadline_missed) KUC_OBS_COUNT("serve.deadline_missed", 1);
-  if (job->fault_events > 0) {
-    KUC_OBS_COUNT("serve.fault_events", job->fault_events);
-  }
-  if (obs::Enabled()) {
-    static const TierCounters tier_counters =
-        ResolveTierCounters("serve.tier.", ServeTierName);
-    tier_counters[static_cast<int>(response.tier)]->Add(1);
-  }
-  KUC_OBS_HISTOGRAM("serve.latency_micros", response.total_micros);
+  counters_[kCompleted]->Add();
+  counters_[kTier + static_cast<int>(response.tier)]->Add();
+  if (response.degraded) counters_[kDegraded]->Add();
+  if (job->deadline_missed) counters_[kDeadlineMissed]->Add();
+  latency_.Record(response.total_micros);
   return std::move(response);
 }
 
@@ -570,8 +541,7 @@ RecResponse RecServer::Handle(const RecRequest& request,
   if (!KnownUser(request.user)) {
     // The id comes from outside the program, and the full, cached and
     // heuristic tiers all index per-user state with it.
-    ++job.unknown_user;
-    KUC_OBS_COUNT("serve.degrade.unknown_user", 1);
+    counters_[kUnknownUser]->Add();
     job.response.degrade_reason = "admission: user " +
                                   std::to_string(request.user) +
                                   " unknown (graph has " +
@@ -616,12 +586,11 @@ void RecServer::ForwardStage(const std::vector<ServeJob*>& batch) {
   admitted.reserve(batch.size());
   for (ServeJob* job : batch) {
     if (predicted > 0 && job->deadline.RemainingMicros() < predicted) {
-      job->deadline_preempted = true;
+      counters_[kPreempted]->Add();
       job->full_status = ErrorStatus()
                          << "predicted batch forward (~" << predicted
                          << "us) exceeds the remaining deadline budget";
       job->forward_pending = false;
-      KUC_OBS_COUNT("serve.degrade.preempted", 1);
       continue;
     }
     admitted.push_back(job);
@@ -659,14 +628,9 @@ void RecServer::ForwardStage(const std::vector<ServeJob*>& batch) {
     admitted[i]->full_status = std::move(work[i].status);
     admitted[i]->forward_pending = false;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.forward_batches;
-    stats_.batched_requests += static_cast<int64_t>(admitted.size());
-    if (admitted.size() > 1) ++stats_.multi_user_batches;
-  }
-  KUC_OBS_COUNT("serve.batch.forwards", 1);
-  KUC_OBS_COUNT("serve.batch.requests", static_cast<int64_t>(admitted.size()));
+  counters_[kForwardBatches]->Add();
+  counters_[kBatchedRequests]->Add(static_cast<int64_t>(admitted.size()));
+  if (admitted.size() > 1) counters_[kMultiUserBatches]->Add();
   KUC_OBS_GAUGE_SET("serve.batch.last_size",
                     static_cast<int64_t>(admitted.size()));
 }

@@ -46,10 +46,10 @@
 /// poisoning its batchmates. Every response carries the tier that produced
 /// it plus per-stage latency; `ServerStats` exposes
 /// admitted/shed/deadline-missed/degraded/batching counters and a latency
-/// histogram. All time flows through the `Clock` seam, so under a
-/// `FakeClock` every timeout path — including the batch linger window — is
-/// deterministic, and the `FaultInjector` seam lets tests fail any stage of
-/// any tier on the Nth hit.
+/// histogram, read out of the server's own metrics registry. All time flows
+/// through the `Clock` seam, so under a `FakeClock` every timeout path —
+/// including the batch linger window — is deterministic, and the
+/// `FaultInjector` seam lets tests fail any stage of any tier on the Nth hit.
 
 namespace kucnet {
 
@@ -87,7 +87,7 @@ struct ScoredItem {
 
 /// Wall-clock (or FakeClock) cost of one pipeline stage of a response.
 struct StageTiming {
-  std::string stage;  ///< "full", "cache", "heuristic", "popularity"
+  ServeTier stage;  ///< the tier the stage tried
   int64_t micros;
 };
 
@@ -115,7 +115,8 @@ struct RecResponse {
 /// serving layer's historical bucketing.
 using LatencyHistogram = obs::HistogramData;
 
-/// Observable behavior of the server since construction.
+/// Observable behavior of the server since construction: a read-out of the
+/// server's metrics registry (see ReadServerStats), one series per field.
 struct ServerStats {
   int64_t submitted = 0;  ///< Submit/ServeSync calls
   int64_t admitted = 0;   ///< accepted into the queue (or served sync)
@@ -162,12 +163,11 @@ struct ServerStats {
   /// Responses per tier, indexed by ServeTier.
   std::array<int64_t, kNumServeTiers> tier_count{};
   LatencyHistogram latency;
-
-  /// Adds `other`'s counters and latency histogram into this one, saturating
-  /// at the int64 extremes. Merging stats from multiple servers (or
-  /// accumulation epochs) can therefore never wrap into nonsense.
-  void MergeFrom(const ServerStats& other);
 };
+
+/// Reads each ServerStats field from its `serve.*` series (absent: 0). On a
+/// merge of several servers' snapshots this gives their sum.
+ServerStats ReadServerStats(const obs::MetricsSnapshot& snapshot);
 
 /// Knobs of the server.
 struct RecServerOptions {
@@ -226,16 +226,10 @@ struct ServeJob {
   ExecContext fallback_ctx;
   RecResponse response;
   bool served = false;
+  /// Some tier failed on deadline grounds; counted once per request.
   bool deadline_missed = false;
-  int64_t fault_events = 0;
-  int64_t nonfinite = 0;
-  int64_t no_ppr_user = 0;
-  int64_t unknown_user = 0;
   int64_t full_t0 = 0;  ///< full-tier start; timed when the tier finishes
   bool full_pre_expired = false;  ///< deadline died before extraction began
-  /// Batch stage skipped this job's forward because the predicted cost
-  /// exceeded its remaining deadline budget (see ForwardStage).
-  bool deadline_preempted = false;
   int64_t cache_generation = 0;
   /// Extraction succeeded and the forward half still has to run — the job
   /// belongs in the batch stage.
@@ -277,8 +271,12 @@ class RecServer {
   /// joins the pipeline threads. Idempotent; also called by the destructor.
   void Shutdown();
 
-  /// Snapshot of the counters (consistent under the stats mutex).
+  /// ReadServerStats of metrics(). Fields are read one by one, so only a
+  /// read with no request in flight (e.g. after Shutdown) is consistent.
   ServerStats stats() const;
+
+  /// Every `serve.*` series but the queue_depth and batch.last_size gauges.
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Proactively computes and caches full-tier scores for the `max_users`
   /// most active users (by training interaction count, ties by id). Used at
@@ -338,7 +336,7 @@ class RecServer {
   /// Stats, counters, latency; returns the finished response.
   RecResponse FinalizeJob(ServeJob* job);
   void NoteFailure(ServeJob* job, ServeTier tier, const Status& status) const;
-  void TimeStage(ServeJob* job, const char* stage, int64_t start_micros) const;
+  void TimeStage(ServeJob* job, ServeTier stage, int64_t start_micros) const;
 
   // ---- Pipeline stage callbacks (see serve/pipeline.h) ----
   void ExtractStage(ServeJob* job);
@@ -358,6 +356,11 @@ class RecServer {
   RecServerOptions options_;
   const Clock* clock_;
 
+  /// Declared before cache_, which counts into it.
+  obs::MetricsRegistry metrics_;
+  /// Handles into metrics_, indexed by the enum of rec_server.cc.
+  std::vector<obs::Counter*> counters_;
+  obs::Histogram& latency_;
   ScoreCache cache_;
   /// Sorted training items per user (binary searched during ranking).
   std::vector<std::vector<int64_t>> train_items_;
@@ -370,9 +373,6 @@ class RecServer {
   /// Requests executing on caller threads (ServeSync, inline Submit);
   /// pipeline in-flight is tracked by the pipeline itself.
   std::atomic<int64_t> sync_in_flight_{0};
-
-  mutable std::mutex stats_mu_;
-  ServerStats stats_;
 
   /// EWMA of recent whole-batch forward duration on the Clock seam,
   /// maintained by the batch stage and consulted before each batch: a job

@@ -2,13 +2,25 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace kucnet {
 
-ScoreCache::ScoreCache(ScoreCacheOptions options, const Clock* clock)
-    : options_(options), clock_(clock != nullptr ? clock : &RealClock()) {
+ScoreCache::ScoreCache(ScoreCacheOptions options, const Clock* clock,
+                       obs::MetricsRegistry& metrics)
+    : options_(options),
+      clock_(clock != nullptr ? clock : &RealClock()),
+      hits_(metrics.GetCounter("serve.cache.hits")),
+      misses_(metrics.GetCounter("serve.cache.misses")),
+      evictions_(metrics.GetCounter("serve.cache.evictions")),
+      generation_evictions_(
+          metrics.GetCounter("serve.cache.generation_evictions")),
+      stale_evictions_(metrics.GetCounter("serve.cache.stale_evictions")),
+      stale_generation_puts_(
+          metrics.GetCounter("serve.cache.stale_generation_puts")),
+      generation_bumps_(metrics.GetCounter("serve.cache.generation_bumps")),
+      user_invalidations_(
+          metrics.GetCounter("serve.cache.user_invalidations")) {
   KUC_CHECK_GT(options_.capacity, 0);
   KUC_CHECK_GT(options_.max_age_micros, 0);
 }
@@ -33,7 +45,7 @@ void ScoreCache::Put(int64_t user, std::vector<double> scores,
     // The model (or this user's graph neighborhood) changed while these
     // scores were being computed; depositing them would resurrect stale
     // output under the new tag.
-    KUC_OBS_COUNT("serve.cache.stale_generation_puts", 1);
+    stale_generation_puts_.Add();
     return;
   }
   PutLocked(user, std::move(scores), generation);
@@ -53,8 +65,7 @@ void ScoreCache::PutLocked(int64_t user, std::vector<double> scores,
   if (static_cast<int64_t>(lru_.size()) >= options_.capacity) {
     index_.erase(lru_.back().user);
     lru_.pop_back();
-    ++evictions_;
-    KUC_OBS_COUNT("serve.cache.evictions", 1);
+    evictions_.Add();
   }
   lru_.push_front(Entry{user, std::move(scores), now, generation});
   index_[user] = lru_.begin();
@@ -66,8 +77,7 @@ bool ScoreCache::Get(int64_t user, std::vector<double>* out,
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(user);
   if (it == index_.end()) {
-    ++misses_;
-    KUC_OBS_COUNT("serve.cache.misses", 1);
+    misses_.Add();
     return false;
   }
   if (it->second->generation != EffectiveGenerationLocked(user)) {
@@ -76,10 +86,8 @@ bool ScoreCache::Get(int64_t user, std::vector<double>* out,
     // or graph state that no longer exists.
     lru_.erase(it->second);
     index_.erase(it);
-    ++misses_;
-    ++generation_evictions_;
-    KUC_OBS_COUNT("serve.cache.misses", 1);
-    KUC_OBS_COUNT("serve.cache.generation_evictions", 1);
+    misses_.Add();
+    generation_evictions_.Add();
     return false;
   }
   const int64_t age = now - it->second->stored_micros;
@@ -87,15 +95,13 @@ bool ScoreCache::Get(int64_t user, std::vector<double>* out,
     // Staleness bound: expired entries are dropped, never served.
     lru_.erase(it->second);
     index_.erase(it);
-    ++misses_;
-    KUC_OBS_COUNT("serve.cache.misses", 1);
-    KUC_OBS_COUNT("serve.cache.stale_evictions", 1);
+    misses_.Add();
+    stale_evictions_.Add();
     return false;
   }
   *out = it->second->scores;
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  KUC_OBS_COUNT("serve.cache.hits", 1);
+  hits_.Add();
   if (age_micros_out != nullptr) *age_micros_out = age;
   return true;
 }
@@ -115,15 +121,14 @@ void ScoreCache::BumpGeneration() {
   // Unsigned increment: a wrap at INT64_MAX is well-defined, and tags are
   // only ever compared for equality, so wrapped tags stay correct.
   generation_ = static_cast<int64_t>(static_cast<uint64_t>(generation_) + 1);
-  KUC_OBS_COUNT("serve.cache.generation_bumps", 1);
+  generation_bumps_.Add();
 }
 
 void ScoreCache::InvalidateUser(int64_t user) {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t& component = user_generation_[user];
   component = static_cast<int64_t>(static_cast<uint64_t>(component) + 1);
-  ++user_invalidations_;
-  KUC_OBS_COUNT("serve.cache.user_invalidations", 1);
+  user_invalidations_.Add();
 }
 
 void ScoreCache::SetGenerationForTest(int64_t generation) {
@@ -132,13 +137,11 @@ void ScoreCache::SetGenerationForTest(int64_t generation) {
 }
 
 int64_t ScoreCache::user_invalidations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return user_invalidations_;
+  return user_invalidations_.Value();
 }
 
 int64_t ScoreCache::generation_evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return generation_evictions_;
+  return generation_evictions_.Value();
 }
 
 int64_t ScoreCache::size() const {
@@ -146,19 +149,10 @@ int64_t ScoreCache::size() const {
   return static_cast<int64_t>(lru_.size());
 }
 
-int64_t ScoreCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
+int64_t ScoreCache::hits() const { return hits_.Value(); }
 
-int64_t ScoreCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
+int64_t ScoreCache::misses() const { return misses_.Value(); }
 
-int64_t ScoreCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
+int64_t ScoreCache::evictions() const { return evictions_.Value(); }
 
 }  // namespace kucnet

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 /// \file
@@ -47,8 +48,10 @@ struct ScoreCacheOptions {
 /// Thread-safe LRU map user -> (item score vector, store time).
 class ScoreCache {
  public:
-  /// `clock` must outlive the cache (null = the real clock).
-  explicit ScoreCache(ScoreCacheOptions options, const Clock* clock = nullptr);
+  /// `clock` (null = the real clock) and `metrics`, where the cache counts
+  /// its `serve.cache.*` series, must outlive the cache.
+  ScoreCache(ScoreCacheOptions options, const Clock* clock,
+             obs::MetricsRegistry& metrics);
 
   /// Inserts or refreshes the scores for `user` (stamped with now, tagged
   /// with the current generation).
@@ -116,17 +119,20 @@ class ScoreCache {
 
   ScoreCacheOptions options_;
   const Clock* clock_;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& evictions_;
+  obs::Counter& generation_evictions_;
+  obs::Counter& stale_evictions_;
+  obs::Counter& stale_generation_puts_;
+  obs::Counter& generation_bumps_;
+  obs::Counter& user_invalidations_;
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recent
   std::unordered_map<int64_t, std::list<Entry>::iterator> index_;
   int64_t generation_ = 0;
   std::unordered_map<int64_t, int64_t> user_generation_;
-  int64_t user_invalidations_ = 0;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t evictions_ = 0;
-  int64_t generation_evictions_ = 0;
 };
 
 }  // namespace kucnet

@@ -47,31 +47,39 @@ void AppendParameterBlock(const std::vector<Parameter*>& params,
 
 Status ReadParameterBlock(ByteReader* in,
                           const std::vector<Parameter*>& params) {
-  uint64_t count = 0;
-  KUC_RETURN_IF_ERROR(in->U64(&count));
-  if (count != params.size()) {
-    return ErrorStatus() << "checkpoint has a different number of parameters ["
-                         << count << " vs " << params.size() << "]";
-  }
-  for (Parameter* p : params) {
-    std::string name;
-    int64_t rows = 0, cols = 0;
-    KUC_RETURN_IF_ERROR(in->Str(&name));
-    KUC_RETURN_IF_ERROR(in->I64(&rows));
-    KUC_RETURN_IF_ERROR(in->I64(&cols));
-    if (name != p->name()) {
-      return ErrorStatus() << "parameter order/name mismatch [" << name
-                           << " vs " << p->name() << "]";
+  // Two passes over the same bytes: the first checks every header and that
+  // every payload is present, and only the second copies. A block that fails
+  // anywhere thus leaves every parameter as it was, never half loaded.
+  for (const bool apply : {false, true}) {
+    ByteReader pass = *in;
+    uint64_t count = 0;
+    KUC_RETURN_IF_ERROR(pass.U64(&count));
+    if (count != params.size()) {
+      return ErrorStatus()
+             << "checkpoint has a different number of parameters [" << count
+             << " vs " << params.size() << "]";
     }
-    if (rows != p->rows() || cols != p->cols()) {
-      return ErrorStatus() << "shape mismatch for " << name << " [" << rows
-                           << "x" << cols << " vs " << p->rows() << "x"
-                           << p->cols() << "]";
+    for (Parameter* p : params) {
+      std::string name;
+      int64_t rows = 0, cols = 0;
+      KUC_RETURN_IF_ERROR(pass.Str(&name));
+      KUC_RETURN_IF_ERROR(pass.I64(&rows));
+      KUC_RETURN_IF_ERROR(pass.I64(&cols));
+      if (name != p->name()) {
+        return ErrorStatus() << "parameter order/name mismatch [" << name
+                             << " vs " << p->name() << "]";
+      }
+      if (rows != p->rows() || cols != p->cols()) {
+        return ErrorStatus() << "shape mismatch for " << name << " [" << rows
+                             << "x" << cols << " vs " << p->rows() << "x"
+                             << p->cols() << "]";
+      }
+      KUC_RETURN_IF_ERROR(pass.Raw(
+          apply ? p->value().data() : nullptr,
+          static_cast<size_t>(p->value().size()) * sizeof(real_t),
+          name.c_str()));
     }
-    KUC_RETURN_IF_ERROR(
-        in->Raw(p->value().data(),
-                static_cast<size_t>(p->value().size()) * sizeof(real_t),
-                name.c_str()));
+    if (apply) *in = pass;
   }
   return Status::Ok();
 }

@@ -33,7 +33,8 @@ void AppendParameterBlock(const std::vector<Parameter*>& params,
                           ByteWriter* out);
 
 /// Reads a block written by AppendParameterBlock into `params`, verifying
-/// count, names, and shapes.
+/// count, names, shapes and payload sizes before copying anything: on an
+/// error every parameter keeps its previous value.
 Status ReadParameterBlock(ByteReader* in,
                           const std::vector<Parameter*>& params);
 

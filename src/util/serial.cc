@@ -18,7 +18,7 @@ Status ByteReader::Raw(void* p, size_t n, const char* what) {
     return ErrorStatus() << "truncated input: needed " << n << " bytes for "
                          << what << ", have " << remaining();
   }
-  std::memcpy(p, p_, n);
+  if (p != nullptr) std::memcpy(p, p_, n);
   p_ += n;
   return Status::Ok();
 }

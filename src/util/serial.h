@@ -71,7 +71,7 @@ class ByteReader {
 
   Status Str(std::string* s);
 
-  /// Reads exactly `n` raw bytes into `p`.
+  /// Reads exactly `n` raw bytes into `p`; a null `p` skips them.
   Status Raw(void* p, size_t n, const char* what = "bytes");
 
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }

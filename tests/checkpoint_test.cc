@@ -3,6 +3,7 @@
 // the previous checkpoint must survive), rejection of the retired v1 format,
 // and exact round-trips of optimizer (Adam) and RNG state.
 
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -140,6 +141,34 @@ TEST(CheckpointV2Test, RetiredV1FormatIsRejectedByName) {
   EXPECT_FALSE(router.RollingSwap(path).ok());
   EXPECT_TRUE(phases.empty()) << phases.front();
   EXPECT_EQ(router.stats().swaps, 0);
+}
+
+TEST(CheckpointV2Test, LoadFailingOnALaterParameterChangesNothing) {
+  // A checksum-valid checkpoint whose first parameter fits and whose second
+  // has another shape: the load fails, and neither parameter changes.
+  Rng rng(21);
+  std::vector<Parameter> saved;
+  saved.emplace_back("a", Matrix::RandomNormal(2, 2, 1.0, rng));
+  saved.emplace_back("b", Matrix::RandomNormal(2, 3, 1.0, rng));
+  const std::string path = TempPath("v2_later_shape_mismatch.kuc");
+  ASSERT_TRUE(TrySaveParameters(Ptrs(saved), path).ok());
+  ASSERT_TRUE(IsCheckpoint(path));
+
+  std::vector<Parameter> params;
+  params.emplace_back("a", Matrix::RandomNormal(2, 2, 1.0, rng));
+  params.emplace_back("b", Matrix::RandomNormal(2, 4, 1.0, rng));
+  const Matrix a_before = params[0].value();
+  const Matrix b_before = params[1].value();
+  const Status st = TryLoadParameters(Ptrs(params), path);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("shape mismatch for b"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(std::memcmp(params[0].value().data(), a_before.data(),
+                        a_before.size() * sizeof(real_t)),
+            0);
+  EXPECT_EQ(std::memcmp(params[1].value().data(), b_before.data(),
+                        b_before.size() * sizeof(real_t)),
+            0);
 }
 
 /// The crash-safety sweep of the issue: learn how many IO ops a save takes,

@@ -270,6 +270,16 @@ TEST(ShardRouterTest, BreakerOpensAfterThresholdAndRecoversViaProbe) {
   // closed -> open -> half-open -> closed.
   EXPECT_EQ(stats.breaker_transitions, 3);
   EXPECT_GE(stats.half_open_probes, 1);
+  // The breaker counts each transition once, into the router's registry:
+  // the open -> half-open step taken while admitting the probe included.
+  const obs::MetricsSnapshot snapshot = fleet.router->metrics().Snapshot();
+  const std::string prefix = "fleet.shard." + std::to_string(home) + ".";
+  EXPECT_EQ(snapshot.counters.at(prefix + "health_transitions"), 3);
+  EXPECT_EQ(snapshot.counters.at(prefix + "health.open"), 1);
+  EXPECT_EQ(snapshot.counters.at(prefix + "health.half-open"), 1);
+  EXPECT_EQ(snapshot.counters.at(prefix + "health.closed"), 1);
+  EXPECT_EQ(snapshot.counters.at(prefix + "half_open_probes"),
+            stats.half_open_probes);
 }
 
 // ---- Hedging -----------------------------------------------------------------
@@ -481,6 +491,121 @@ TEST(ShardRouterTest, RollingSwapRejectsBogusCheckpointAndStaysServing) {
   EXPECT_FALSE(fleet.router->shard_draining(1));
   EXPECT_EQ(fleet.router->stats().swaps, 0);
   EXPECT_EQ(fleet.Route(5).response.status, ResponseStatus::kOk);
+}
+
+TEST(ShardRouterTest, FailedSwapLeavesTheShardAnsweringAsBefore) {
+  FakeClock clock;
+  FleetFixture fleet(2, SyncFleetOptions(&clock));
+  // A checksum-valid checkpoint whose first parameters fit the shard models
+  // and a later one does not: other weights, and a wider attention.
+  KucnetOptions other = SmallModelOptions(99);
+  other.attention_dim = 4;
+  Kucnet mismatched(&fleet.dataset, &fleet.ckg, &fleet.ppr, other);
+  const std::string path = ::testing::TempDir() + "/fleet_swap_mismatch.ckpt";
+  ASSERT_TRUE(TrySaveParameters(mismatched.Params(), path).ok());
+  ASSERT_TRUE(IsCheckpoint(path));
+
+  std::vector<FleetResponse> before;
+  for (int64_t user = 0; user < fleet.dataset.num_users; ++user) {
+    before.push_back(fleet.Route(user));
+  }
+  const Status swapped = fleet.router->RollingSwap(path);
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_NE(swapped.message().find("shape mismatch"), std::string::npos)
+      << swapped.message();
+  EXPECT_FALSE(fleet.router->shard_draining(0));
+  EXPECT_EQ(fleet.router->stats().swaps, 0);
+  // Shard 0 failed its load and was re-admitted; every user, those homed on
+  // it included, gets bitwise the answer it got before the swap.
+  for (int64_t user = 0; user < fleet.dataset.num_users; ++user) {
+    const FleetResponse after = fleet.Route(user);
+    ASSERT_EQ(after.shard, before[user].shard) << "user " << user;
+    ASSERT_EQ(after.response.tier, ServeTier::kFull) << "user " << user;
+    ASSERT_EQ(after.response.items.size(), before[user].response.items.size());
+    for (size_t i = 0; i < after.response.items.size(); ++i) {
+      EXPECT_EQ(after.response.items[i].item,
+                before[user].response.items[i].item);
+      EXPECT_EQ(after.response.items[i].score,
+                before[user].response.items[i].score);
+    }
+  }
+}
+
+TEST(ShardRouterTest, FleetShardStatsAreTheSumOfEveryShardsStats) {
+  FakeClock clock;
+  FaultInjector stage_fault;
+  ShardRouterOptions options = SyncFleetOptions(&clock, nullptr, &stage_fault);
+  options.server.warm_cache_users = 3;
+  FleetFixture fleet(3, options);
+  for (int64_t user = 0; user < fleet.dataset.num_users; ++user) {
+    if (user % 4 == 0) stage_fault.Arm("forward", 1);
+    fleet.Route(user);
+  }
+  const ServerStats total = fleet.router->stats().shards;
+  ServerStats sum;
+  for (int k = 0; k < fleet.router->num_shards(); ++k) {
+    const ServerStats s = fleet.router->shard(k).stats();
+    sum.submitted += s.submitted;
+    sum.admitted += s.admitted;
+    sum.shed += s.shed;
+    sum.completed += s.completed;
+    sum.deadline_missed += s.deadline_missed;
+    sum.fault_events += s.fault_events;
+    sum.nonfinite_scores += s.nonfinite_scores;
+    sum.cache_warmed += s.cache_warmed;
+    sum.degraded += s.degraded;
+    sum.no_ppr_user += s.no_ppr_user;
+    sum.unknown_user += s.unknown_user;
+    sum.forward_batches += s.forward_batches;
+    sum.batched_requests += s.batched_requests;
+    sum.multi_user_batches += s.multi_user_batches;
+    sum.deadline_preempted += s.deadline_preempted;
+    for (int t = 0; t < kNumServeTiers; ++t) {
+      sum.tier_count[t] += s.tier_count[t];
+    }
+    sum.latency.MergeFrom(s.latency);
+  }
+  EXPECT_EQ(total.submitted, fleet.dataset.num_users);
+  EXPECT_GT(total.fault_events, 0);
+  EXPECT_EQ(total.cache_warmed, 3 * 3);
+  EXPECT_EQ(total.submitted, sum.submitted);
+  EXPECT_EQ(total.admitted, sum.admitted);
+  EXPECT_EQ(total.shed, sum.shed);
+  EXPECT_EQ(total.completed, sum.completed);
+  EXPECT_EQ(total.deadline_missed, sum.deadline_missed);
+  EXPECT_EQ(total.fault_events, sum.fault_events);
+  EXPECT_EQ(total.nonfinite_scores, sum.nonfinite_scores);
+  EXPECT_EQ(total.cache_warmed, sum.cache_warmed);
+  EXPECT_EQ(total.degraded, sum.degraded);
+  EXPECT_EQ(total.no_ppr_user, sum.no_ppr_user);
+  EXPECT_EQ(total.unknown_user, sum.unknown_user);
+  EXPECT_EQ(total.forward_batches, sum.forward_batches);
+  EXPECT_EQ(total.batched_requests, sum.batched_requests);
+  EXPECT_EQ(total.multi_user_batches, sum.multi_user_batches);
+  EXPECT_EQ(total.deadline_preempted, sum.deadline_preempted);
+  EXPECT_EQ(total.tier_count, sum.tier_count);
+  EXPECT_EQ(total.latency.counts, sum.latency.counts);
+  EXPECT_EQ(total.latency.total, sum.latency.total);
+  EXPECT_EQ(total.latency.sum, sum.latency.sum);
+
+  // The router-wide fields are series of the router's own registry.
+  const FleetStats stats = fleet.router->stats();
+  const obs::MetricsSnapshot router = fleet.router->metrics().Snapshot();
+  EXPECT_EQ(stats.submitted, router.counters.at("fleet.submitted"));
+  EXPECT_EQ(stats.answered, router.counters.at("fleet.answered"));
+  EXPECT_EQ(stats.attempts, router.counters.at("fleet.attempts"));
+  int64_t shard_answers = 0;
+  for (int k = 0; k < fleet.router->num_shards(); ++k) {
+    shard_answers += router.counters.at("fleet.shard." + std::to_string(k) +
+                                        ".answers");
+  }
+  EXPECT_EQ(stats.shard_answers, shard_answers);
+  EXPECT_EQ(stats.shard_answers, fleet.dataset.num_users);
+  for (int p = 0; p < kNumFleetPaths; ++p) {
+    EXPECT_EQ(stats.path_count[p],
+              router.counters.at(std::string("fleet.path.") +
+                                 FleetPathName(static_cast<FleetPath>(p))));
+  }
 }
 
 // The cache-staleness regression the swap machinery exists to prevent: after

@@ -1,6 +1,6 @@
 // Property tests for the ranking metrics (randomized rankings and test sets
 // must satisfy the metric axioms for every (seed, list size, test size, N)
-// combination in the sweep) and for ServerStats::MergeFrom (the fleet's
+// combination in the sweep) and for MetricsSnapshot::MergeFrom (the fleet's
 // cross-shard aggregation must behave like saturating vector addition).
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 #include "serve/rec_server.h"
 #include "util/rng.h"
 
@@ -103,146 +104,165 @@ TEST_P(MetricsPropertyTest, TopNIndicesConsistentWithMetrics) {
   }
 }
 
-// ---- ServerStats::MergeFrom --------------------------------------------------
+// ---- MetricsSnapshot::MergeFrom ---------------------------------------------
 
 constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
 
-/// Random-but-reproducible ServerStats, including histogram contents.
-ServerStats RandomStats(Rng& rng) {
-  ServerStats stats;
-  stats.submitted = rng.UniformInt(1000);
-  stats.admitted = rng.UniformInt(1000);
-  stats.shed = rng.UniformInt(100);
-  stats.completed = rng.UniformInt(1000);
-  stats.deadline_missed = rng.UniformInt(50);
-  stats.fault_events = rng.UniformInt(50);
-  stats.nonfinite_scores = rng.UniformInt(10);
-  stats.cache_warmed = rng.UniformInt(100);
-  stats.degraded = rng.UniformInt(500);
-  stats.no_ppr_user = rng.UniformInt(20);
-  stats.unknown_user = rng.UniformInt(20);
-  stats.forward_batches = rng.UniformInt(200);
-  stats.batched_requests = rng.UniformInt(1000);
-  stats.multi_user_batches = rng.UniformInt(100);
-  stats.deadline_preempted = rng.UniformInt(50);
-  for (int t = 0; t < kNumServeTiers; ++t) {
-    stats.tier_count[t] = rng.UniformInt(300);
+/// Random-but-reproducible snapshot: a random subset of a few counter and
+/// gauge names (so merges see shared and one-sided series) and a latency
+/// histogram with random contents.
+obs::MetricsSnapshot RandomSnapshot(Rng& rng) {
+  obs::MetricsSnapshot snapshot;
+  for (const char* name : {"serve.submitted", "serve.completed",
+                           "serve.tier.full", "fleet.answered"}) {
+    if (rng.Bernoulli(0.7)) snapshot.counters[name] = rng.UniformInt(1000);
   }
-  const int64_t samples = rng.UniformInt(50);
-  for (int64_t i = 0; i < samples; ++i) {
-    stats.latency.Record(rng.UniformInt(1'000'000));
+  if (rng.Bernoulli(0.5)) {
+    snapshot.gauges["serve.queue_depth"] = rng.UniformInt(64) - 32;
   }
-  return stats;
+  if (rng.Bernoulli(0.8)) {
+    obs::HistogramData latency;
+    const int64_t samples = rng.UniformInt(50);
+    for (int64_t i = 0; i < samples; ++i) {
+      latency.Record(rng.UniformInt(1'000'000));
+    }
+    snapshot.histograms.emplace("serve.latency_micros", std::move(latency));
+  }
+  return snapshot;
 }
 
-TEST(ServerStatsMergeTest, EmptyIsTheIdentity) {
+int64_t CounterOr0(const obs::MetricsSnapshot& snapshot,
+                   const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+void ExpectSameSnapshot(const obs::MetricsSnapshot& a,
+                        const obs::MetricsSnapshot& b) {
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.gauges, b.gauges);
+  ASSERT_EQ(a.histograms.size(), b.histograms.size());
+  for (const auto& [name, histogram] : a.histograms) {
+    ASSERT_EQ(b.histograms.count(name), 1u) << name;
+    const obs::HistogramData& other = b.histograms.at(name);
+    EXPECT_EQ(histogram.bounds, other.bounds) << name;
+    EXPECT_EQ(histogram.counts, other.counts) << name;
+    EXPECT_EQ(histogram.total, other.total) << name;
+    EXPECT_EQ(histogram.sum, other.sum) << name;
+  }
+}
+
+TEST(MetricsSnapshotMergeTest, EmptyIsTheIdentity) {
   Rng rng(77);
   for (int round = 0; round < 20; ++round) {
-    const ServerStats original = RandomStats(rng);
+    const obs::MetricsSnapshot original = RandomSnapshot(rng);
     // x + 0 == x ...
-    ServerStats merged = original;
-    merged.MergeFrom(ServerStats());
-    EXPECT_EQ(merged.completed, original.completed);
-    EXPECT_EQ(merged.latency.total, original.latency.total);
-    EXPECT_EQ(merged.latency.sum, original.latency.sum);
+    obs::MetricsSnapshot merged = original;
+    merged.MergeFrom(obs::MetricsSnapshot());
+    ExpectSameSnapshot(merged, original);
     // ... and 0 + x == x.
-    ServerStats from_empty;
+    obs::MetricsSnapshot from_empty;
     from_empty.MergeFrom(original);
-    EXPECT_EQ(from_empty.submitted, original.submitted);
-    EXPECT_EQ(from_empty.degraded, original.degraded);
-    for (int t = 0; t < kNumServeTiers; ++t) {
-      EXPECT_EQ(from_empty.tier_count[t], original.tier_count[t]);
-    }
-    EXPECT_EQ(from_empty.latency.counts, original.latency.counts);
+    ExpectSameSnapshot(from_empty, original);
   }
 }
 
-TEST(ServerStatsMergeTest, MergeIsComponentwiseAdditionAndCommutes) {
+TEST(MetricsSnapshotMergeTest, MergeIsSeriesWiseAdditionAndCommutes) {
   Rng rng(78);
   for (int round = 0; round < 20; ++round) {
-    const ServerStats a = RandomStats(rng);
-    const ServerStats b = RandomStats(rng);
-    ServerStats ab = a;
+    const obs::MetricsSnapshot a = RandomSnapshot(rng);
+    const obs::MetricsSnapshot b = RandomSnapshot(rng);
+    obs::MetricsSnapshot ab = a;
     ab.MergeFrom(b);
-    ServerStats ba = b;
+    obs::MetricsSnapshot ba = b;
     ba.MergeFrom(a);
-    EXPECT_EQ(ab.submitted, a.submitted + b.submitted);
-    EXPECT_EQ(ab.completed, a.completed + b.completed);
-    EXPECT_EQ(ab.cache_warmed, a.cache_warmed + b.cache_warmed);
-    EXPECT_EQ(ab.no_ppr_user, a.no_ppr_user + b.no_ppr_user);
-    EXPECT_EQ(ab.unknown_user, a.unknown_user + b.unknown_user);
-    EXPECT_EQ(ab.forward_batches, a.forward_batches + b.forward_batches);
-    EXPECT_EQ(ab.batched_requests, a.batched_requests + b.batched_requests);
-    EXPECT_EQ(ab.multi_user_batches,
-              a.multi_user_batches + b.multi_user_batches);
-    EXPECT_EQ(ab.deadline_preempted,
-              a.deadline_preempted + b.deadline_preempted);
-    for (int t = 0; t < kNumServeTiers; ++t) {
-      EXPECT_EQ(ab.tier_count[t], a.tier_count[t] + b.tier_count[t]);
+    for (const char* name : {"serve.submitted", "serve.completed",
+                             "serve.tier.full", "fleet.answered"}) {
+      EXPECT_EQ(CounterOr0(ab, name),
+                CounterOr0(a, name) + CounterOr0(b, name))
+          << name;
     }
-    EXPECT_EQ(ab.latency.total, a.latency.total + b.latency.total);
-    EXPECT_EQ(ab.latency.sum, a.latency.sum + b.latency.sum);
-    // Commutativity: the fleet may merge shards in any order.
-    EXPECT_EQ(ab.submitted, ba.submitted);
-    EXPECT_EQ(ab.latency.counts, ba.latency.counts);
-    EXPECT_EQ(ab.latency.sum, ba.latency.sum);
+    // A series either side has is in the merge; one neither has is not.
+    for (const obs::MetricsSnapshot* side : {&a, &b}) {
+      for (const auto& [name, value] : side->counters) {
+        EXPECT_EQ(ab.counters.count(name), 1u) << name;
+      }
+    }
+    EXPECT_LE(ab.counters.size(), a.counters.size() + b.counters.size());
+    const auto latency = [](const obs::MetricsSnapshot& s) {
+      const auto it = s.histograms.find("serve.latency_micros");
+      return it == s.histograms.end() ? obs::HistogramData() : it->second;
+    };
+    EXPECT_EQ(latency(ab).total, latency(a).total + latency(b).total);
+    EXPECT_EQ(latency(ab).sum, latency(a).sum + latency(b).sum);
+    // Commutativity: a fleet may merge its shards in any order.
+    ExpectSameSnapshot(ab, ba);
   }
 }
 
-TEST(ServerStatsMergeTest, SaturatesInsteadOfWrapping) {
-  // A counter already at the int64 ceiling must stay there, not wrap
-  // negative, no matter how many shards merge into it.
-  ServerStats saturated;
-  saturated.submitted = kInt64Max;
-  saturated.completed = kInt64Max - 1;
-  saturated.tier_count[0] = kInt64Max;
-  saturated.batched_requests = kInt64Max;
+TEST(MetricsSnapshotMergeTest, SaturatesInsteadOfWrapping) {
+  // A series already at an int64 extreme stays there, not wrapping past it,
+  // however many snapshots merge into it.
+  obs::MetricsSnapshot saturated;
+  saturated.counters["serve.submitted"] = kInt64Max;
+  saturated.counters["serve.completed"] = kInt64Max - 1;
+  saturated.gauges["serve.queue_depth"] = kInt64Min;
   Rng rng(79);
   for (int round = 0; round < 5; ++round) {
-    saturated.MergeFrom(RandomStats(rng));
+    obs::MetricsSnapshot more = RandomSnapshot(rng);
+    more.counters["serve.submitted"] = 1 + rng.UniformInt(1000);
+    more.gauges["serve.queue_depth"] = -1 - rng.UniformInt(1000);
+    saturated.MergeFrom(more);
   }
-  EXPECT_EQ(saturated.submitted, kInt64Max);
-  EXPECT_GE(saturated.completed, kInt64Max - 1);
-  EXPECT_EQ(saturated.tier_count[0], kInt64Max);
-  EXPECT_EQ(saturated.batched_requests, kInt64Max);
+  EXPECT_EQ(saturated.counters.at("serve.submitted"), kInt64Max);
+  EXPECT_GE(saturated.counters.at("serve.completed"), kInt64Max - 1);
+  EXPECT_EQ(saturated.gauges.at("serve.queue_depth"), kInt64Min);
 }
 
-TEST(ServerStatsMergeTest, SaturatedHistogramBucketsStaySaturated) {
-  ServerStats a;
+TEST(MetricsSnapshotMergeTest, SaturatedHistogramBucketsStaySaturated) {
+  obs::MetricsSnapshot a;
+  obs::HistogramData& full = a.histograms["serve.latency_micros"];
   // Saturate one finite bucket and the +Inf bucket directly.
-  a.latency.counts[3] = kInt64Max;
-  a.latency.counts.back() = kInt64Max;
-  a.latency.total = kInt64Max;
-  ServerStats b;
-  b.latency.Record(7);                  // lands in a finite bucket
-  b.latency.Record(kInt64Max / 2);      // lands in the +Inf bucket
-  const int64_t inf_before = b.latency.counts.back();
-  EXPECT_GE(inf_before, 1);
+  full.counts[3] = kInt64Max;
+  full.counts.back() = kInt64Max;
+  full.total = kInt64Max;
+  obs::MetricsSnapshot b;
+  obs::HistogramData& some = b.histograms["serve.latency_micros"];
+  some.Record(7);              // lands in a finite bucket
+  some.Record(kInt64Max / 2);  // lands in the +Inf bucket
+  EXPECT_GE(some.counts.back(), 1);
   a.MergeFrom(b);
-  EXPECT_EQ(a.latency.counts[3], kInt64Max);
-  EXPECT_EQ(a.latency.counts.back(), kInt64Max);
-  EXPECT_EQ(a.latency.total, kInt64Max);
+  const obs::HistogramData& merged = a.histograms.at("serve.latency_micros");
+  EXPECT_EQ(merged.counts[3], kInt64Max);
+  EXPECT_EQ(merged.counts.back(), kInt64Max);
+  EXPECT_EQ(merged.total, kInt64Max);
   // The mirror merge adds the saturated buckets into the small ones.
-  ServerStats c;
-  c.latency.Record(7);
-  ServerStats d;
-  d.latency.counts.back() = kInt64Max;
-  c.latency.MergeFrom(d.latency);
-  EXPECT_EQ(c.latency.counts.back(), kInt64Max);
+  obs::MetricsSnapshot c;
+  c.histograms["serve.latency_micros"].Record(7);
+  obs::MetricsSnapshot d;
+  d.histograms["serve.latency_micros"].counts.back() = kInt64Max;
+  c.MergeFrom(d);
+  EXPECT_EQ(c.histograms.at("serve.latency_micros").counts.back(), kInt64Max);
 }
 
-TEST(ServerStatsMergeTest, PlusInfBucketCountsAddAcrossShards) {
+TEST(MetricsSnapshotMergeTest, PlusInfBucketCountsAddAcrossShards) {
   // Three shards each saw some pathological >2^38us requests: the merged
-  // +Inf bucket is their exact sum and the percentile surfaces it.
-  ServerStats merged;
+  // +Inf bucket is their exact sum, the percentile surfaces it, and the
+  // merged snapshot reads out as the shards' summed ServerStats.
+  obs::MetricsSnapshot merged;
   for (int shard = 0; shard < 3; ++shard) {
-    ServerStats s;
-    for (int i = 0; i <= shard; ++i) s.latency.Record(kInt64Max / 4);
+    obs::MetricsSnapshot s;
+    obs::HistogramData& latency = s.histograms["serve.latency_micros"];
+    for (int i = 0; i <= shard; ++i) latency.Record(kInt64Max / 4);
+    s.counters["serve.completed"] = shard + 1;
     merged.MergeFrom(s);
   }
-  EXPECT_EQ(merged.latency.counts.back(), 1 + 2 + 3);
-  EXPECT_EQ(merged.latency.total, 6);
-  EXPECT_EQ(merged.latency.PercentileUpperBound(1.0), kInt64Max);
+  const ServerStats stats = ReadServerStats(merged);
+  EXPECT_EQ(stats.latency.counts.back(), 1 + 2 + 3);
+  EXPECT_EQ(stats.latency.total, 6);
+  EXPECT_EQ(stats.completed, 6);
+  EXPECT_EQ(stats.latency.PercentileUpperBound(1.0), kInt64Max);
 }
 
 INSTANTIATE_TEST_SUITE_P(

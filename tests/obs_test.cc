@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cctype>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -217,32 +218,6 @@ TEST(HistogramDataTest, LinearLayout) {
   EXPECT_EQ(h.counts[3], 1);
 }
 
-// ---- ServerStats merging -----------------------------------------------------
-
-TEST(ServerStatsTest, MergeFromAddsAndSaturates) {
-  ServerStats a;
-  a.submitted = kInt64Max - 2;
-  a.admitted = 10;
-  a.tier_count[0] = 4;
-  a.latency.Record(100);
-  ServerStats b;
-  b.submitted = 5;
-  b.admitted = 7;
-  b.shed = 1;
-  b.tier_count[0] = 2;
-  b.tier_count[3] = 9;
-  b.latency.Record(200);
-  b.latency.Record(300);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.submitted, kInt64Max);  // saturates, does not wrap negative
-  EXPECT_EQ(a.admitted, 17);
-  EXPECT_EQ(a.shed, 1);
-  EXPECT_EQ(a.tier_count[0], 6);
-  EXPECT_EQ(a.tier_count[3], 9);
-  EXPECT_EQ(a.latency.total, 3);
-  EXPECT_EQ(a.latency.sum, 600);
-}
-
 // ---- Registry metrics --------------------------------------------------------
 
 TEST_F(ObsTest, CountersAggregateAcrossShardsAndReset) {
@@ -296,16 +271,14 @@ TEST_F(ObsTest, MacrosRecordOnlyWhenEnabled) {
   KUC_OBS_COUNT("obs_test.gated", 2);
   KUC_OBS_GAUGE_SET("obs_test.gauge", 5);
   KUC_OBS_HISTOGRAM("obs_test.hist", 42);
-  obs::Count("obs_test.dynamic", 3);
   const obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
   EXPECT_EQ(snapshot.counters.at("obs_test.gated"), 2);
   EXPECT_EQ(snapshot.gauges.at("obs_test.gauge"), 5);
   EXPECT_EQ(snapshot.histograms.at("obs_test.hist").total, 1);
-  EXPECT_EQ(snapshot.counters.at("obs_test.dynamic"), 3);
   obs::SetEnabled(false);
-  obs::Count("obs_test.dynamic", 3);  // gated: no further effect
-  EXPECT_EQ(obs::DefaultRegistry().Snapshot().counters.at("obs_test.dynamic"),
-            3);
+  KUC_OBS_COUNT("obs_test.gated", 3);  // gated: no further effect
+  EXPECT_EQ(obs::DefaultRegistry().Snapshot().counters.at("obs_test.gated"),
+            2);
 }
 
 TEST_F(ObsTest, PprPushPopsCounterEqualsThePopsOfOnePush) {
@@ -652,21 +625,28 @@ TEST_F(ObsTest, ServeRequestTraceHasOneSpanPerPipelineStage) {
   EXPECT_EQ(CountOccurrences(json, "\"serve.heuristic\""), 0);
   EXPECT_EQ(CountOccurrences(json, "\"serve.popularity\""), 0);
 
-  const obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
+  // The request is counted once, in the server's own registry.
+  const obs::MetricsSnapshot snapshot = f.server->metrics().Snapshot();
   EXPECT_EQ(snapshot.counters.at("serve.submitted"), 1);
   EXPECT_EQ(snapshot.counters.at("serve.admitted"), 1);
   EXPECT_EQ(snapshot.counters.at("serve.completed"), 1);
   EXPECT_EQ(snapshot.counters.at("serve.tier.full"), 1);
   EXPECT_EQ(snapshot.histograms.at("serve.latency_micros").total, 1);
+  EXPECT_EQ(obs::DefaultRegistry().Snapshot().counters.count("serve.submitted"),
+            0u);
 }
 
-TEST_F(ObsTest, ScoreCacheCountersReconcileWithMetrics) {
-  obs::DefaultRegistry().ResetForTest();
+#endif  // KUCNET_OBS
+
+TEST_F(ObsTest, ScoreCacheCountsIntoItsOwnersRegistry) {
+  // Observability off: instance counters count regardless.
+  obs::SetEnabled(false);
+  obs::MetricsRegistry metrics;
   FakeClock clock;
   ScoreCacheOptions opts;
   opts.capacity = 2;
   opts.max_age_micros = 1000;
-  ScoreCache cache(opts, &clock);
+  ScoreCache cache(opts, &clock, metrics);
   std::vector<double> out;
   cache.Put(1, {1.0});
   cache.Put(2, {2.0});
@@ -676,18 +656,127 @@ TEST_F(ObsTest, ScoreCacheCountersReconcileWithMetrics) {
   clock.AdvanceMicros(2000);
   EXPECT_FALSE(cache.Get(1, &out));  // miss (stale, dropped)
   EXPECT_FALSE(cache.Get(9, &out));  // miss (never present)
-  const obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
-  // The cache's own counters and the registry metrics are two views of the
-  // same events: they must reconcile exactly.
-  EXPECT_EQ(snapshot.counters.at("serve.cache.hits"), cache.hits());
-  EXPECT_EQ(snapshot.counters.at("serve.cache.misses"), cache.misses());
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.counters.at("serve.cache.hits"), 1);
+  EXPECT_EQ(snapshot.counters.at("serve.cache.misses"), 3);
   EXPECT_EQ(snapshot.counters.at("serve.cache.evictions"), 1);
   EXPECT_EQ(snapshot.counters.at("serve.cache.stale_evictions"), 1);
+  // The accessors read those same series.
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 3);
+  EXPECT_EQ(cache.evictions(), 1);
 }
 
-#endif  // KUCNET_OBS
+TEST_F(ObsTest, SnapshotMergeAddsSeriesAcrossRegistries) {
+  obs::MetricsRegistry a, b;
+  a.GetCounter("shared").Add(2);
+  b.GetCounter("shared").Add(5);
+  b.GetCounter("only_b").Add(1);
+  a.GetGauge("depth").Set(3);
+  b.GetGauge("depth").Set(4);
+  const obs::HistogramData layout{std::vector<int64_t>{10}};
+  a.GetHistogram("lat", layout).Record(1);
+  b.GetHistogram("lat", layout).Record(20);
+  obs::MetricsSnapshot merged = a.Snapshot();
+  merged.MergeFrom(b.Snapshot());
+  EXPECT_EQ(merged.counters.at("shared"), 7);
+  EXPECT_EQ(merged.counters.at("only_b"), 1);
+  EXPECT_EQ(merged.gauges.at("depth"), 7);
+  EXPECT_EQ(merged.histograms.at("lat").counts,
+            (std::vector<int64_t>{1, 1}));
+  EXPECT_EQ(merged.histograms.at("lat").sum, 21);
+}
+
+// ---- ServerStats as a read-out of the server's registry (TSan target) -------
+
+TEST_F(ObsTest, ServerStatsReadTheServerRegistryUnderConcurrentSubmits) {
+  // Observability off: the server counts into its own registry regardless.
+  obs::SetEnabled(false);
+  ObsServeFixture f;
+  RecServerOptions opts;
+  opts.num_workers = 2;
+  opts.queue_capacity = 8;  // small enough that bursts may shed
+  opts.batch_max_users = 4;
+  RecServer server(f.model.get(), &f.dataset, &f.ckg, &f.ppr, opts);
+
+  constexpr int kThreads = 4;
+  constexpr int kRequestsPerThread = 40;
+  std::atomic<bool> done{false};
+  // A poller reads stats() while requests are counted. Fields are read one
+  // at a time, so only per-field monotonicity holds mid-run.
+  std::thread poller([&] {
+    ServerStats prev;
+    while (!done.load()) {
+      const ServerStats now = server.stats();
+      EXPECT_GE(now.submitted, prev.submitted);
+      EXPECT_GE(now.completed, prev.completed);
+      EXPECT_GE(now.latency.total, prev.latency.total);
+      prev = now;
+    }
+  });
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      // Waves of four outstanding requests per thread.
+      std::vector<std::future<RecResponse>> wave;
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        wave.push_back(server.Submit(
+            {(t * kRequestsPerThread + i) % f.dataset.num_users}));
+        if (wave.size() == 4) {
+          for (auto& future : wave) future.get();
+          wave.clear();
+        }
+      }
+      for (auto& future : wave) future.get();
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  server.Shutdown();
+  done.store(true);
+  poller.join();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, int64_t{kThreads} * kRequestsPerThread);
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.shed);
+  int64_t tier_sum = 0;
+  for (const int64_t count : stats.tier_count) tier_sum += count;
+  EXPECT_EQ(stats.completed, tier_sum);
+  EXPECT_EQ(stats.completed, stats.admitted);
+  EXPECT_EQ(stats.latency.total, stats.completed);
+
+  // Every field is its series in the server's snapshot.
+  const obs::MetricsSnapshot snapshot = server.metrics().Snapshot();
+  const auto series = [&snapshot](const std::string& name) {
+    return snapshot.counters.at(name);
+  };
+  EXPECT_EQ(stats.submitted, series("serve.submitted"));
+  EXPECT_EQ(stats.admitted, series("serve.admitted"));
+  EXPECT_EQ(stats.shed, series("serve.shed"));
+  EXPECT_EQ(stats.completed, series("serve.completed"));
+  EXPECT_EQ(stats.deadline_missed, series("serve.deadline_missed"));
+  EXPECT_EQ(stats.fault_events, series("serve.fault_events"));
+  EXPECT_EQ(stats.nonfinite_scores, series("serve.degrade.nonfinite"));
+  EXPECT_EQ(stats.cache_warmed, series("serve.cache.warmed"));
+  EXPECT_EQ(stats.degraded, series("serve.degraded"));
+  EXPECT_EQ(stats.no_ppr_user, series("serve.degrade.no_ppr_user"));
+  EXPECT_EQ(stats.unknown_user, series("serve.degrade.unknown_user"));
+  EXPECT_EQ(stats.forward_batches, series("serve.batch.forwards"));
+  EXPECT_EQ(stats.batched_requests, series("serve.batch.requests"));
+  EXPECT_EQ(stats.multi_user_batches, series("serve.batch.multi_user"));
+  EXPECT_EQ(stats.deadline_preempted, series("serve.degrade.preempted"));
+  for (int t = 0; t < kNumServeTiers; ++t) {
+    EXPECT_EQ(stats.tier_count[t],
+              series(std::string("serve.tier.") +
+                     ServeTierName(static_cast<ServeTier>(t))));
+  }
+  const obs::HistogramData& latency =
+      snapshot.histograms.at("serve.latency_micros");
+  EXPECT_EQ(stats.latency.counts, latency.counts);
+  EXPECT_EQ(stats.latency.sum, latency.sum);
+  // Nothing was counted process-wide a second time.
+  EXPECT_EQ(obs::DefaultRegistry().Snapshot().counters.count("serve.submitted"),
+            0u);
+}
 
 TEST_F(ObsTest, ModelOutputsBitIdenticalWithObsOnAndOff) {
   ObsServeFixture f;

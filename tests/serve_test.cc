@@ -78,7 +78,8 @@ TEST(ScoreCacheTest, HitMissAndLruEviction) {
   FakeClock clock;
   ScoreCacheOptions opts;
   opts.capacity = 2;
-  ScoreCache cache(opts, &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(opts, &clock, metrics);
   cache.Put(1, {1.0});
   cache.Put(2, {2.0});
   std::vector<double> out;
@@ -97,7 +98,8 @@ TEST(ScoreCacheTest, StalenessBoundDropsOldEntries) {
   FakeClock clock;
   ScoreCacheOptions opts;
   opts.max_age_micros = 1000;
-  ScoreCache cache(opts, &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(opts, &clock, metrics);
   cache.Put(7, {0.5});
   std::vector<double> out;
   int64_t age = -1;
@@ -113,7 +115,8 @@ TEST(ScoreCacheTest, PutRefreshesStalenessClock) {
   FakeClock clock;
   ScoreCacheOptions opts;
   opts.max_age_micros = 1000;
-  ScoreCache cache(opts, &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(opts, &clock, metrics);
   cache.Put(7, {0.5});
   clock.AdvanceMicros(900);
   cache.Put(7, {0.6});  // refresh restarts the staleness window
@@ -129,7 +132,8 @@ TEST(ScoreCacheTest, CapacityOneChurn) {
   FakeClock clock;
   ScoreCacheOptions opts;
   opts.capacity = 1;
-  ScoreCache cache(opts, &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(opts, &clock, metrics);
   std::vector<double> out;
   // Every Put of a new user evicts the sole resident; every Get of the
   // previous user misses. The cache never exceeds one entry and the
@@ -334,7 +338,7 @@ TEST(RecServerTest, FullTierResponseRankedAndExcludesTrainItems) {
   }
   // Per-stage latency covers exactly the tiers this request attempted.
   ASSERT_EQ(response.stage_micros.size(), 1u);
-  EXPECT_EQ(response.stage_micros[0].stage, "full");
+  EXPECT_EQ(response.stage_micros[0].stage, ServeTier::kFull);
 }
 
 // ---- Deadline behavior under FakeClock ---------------------------------------
@@ -622,7 +626,8 @@ TEST(RecServerTest, StatsReconcileAcrossMixedTraffic) {
 
 TEST(ScoreCacheTest, GenerationBumpInvalidatesEveryEntry) {
   FakeClock clock;
-  ScoreCache cache(ScoreCacheOptions(), &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(ScoreCacheOptions(), &clock, metrics);
   cache.Put(1, {1.0});
   cache.Put(2, {2.0});
   cache.BumpGeneration();
@@ -641,7 +646,8 @@ TEST(ScoreCacheTest, GenerationBumpInvalidatesEveryEntry) {
 
 TEST(ScoreCacheTest, StaleGenerationPutIsDiscarded) {
   FakeClock clock;
-  ScoreCache cache(ScoreCacheOptions(), &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(ScoreCacheOptions(), &clock, metrics);
   // A forward pass snapshots the generation, then the model is swapped
   // while it runs: its deposit must be dropped, not planted in the fresh
   // cache.
@@ -658,7 +664,8 @@ TEST(ScoreCacheTest, StaleGenerationPutIsDiscarded) {
 
 TEST(ScoreCacheTest, GenerationTagWraparoundStaysCorrect) {
   FakeClock clock;
-  ScoreCache cache(ScoreCacheOptions(), &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(ScoreCacheOptions(), &clock, metrics);
   // Tags are compared for equality only and bumped with unsigned
   // arithmetic, so a wrap at INT64_MAX must behave like any other bump.
   cache.SetGenerationForTest(std::numeric_limits<int64_t>::max());
@@ -687,7 +694,8 @@ TEST(ScoreCacheTest, GenerationTagWraparoundStaysCorrect) {
 
 TEST(ScoreCacheTest, PerUserInvalidationDropsOnlyThatUser) {
   FakeClock clock;
-  ScoreCache cache(ScoreCacheOptions(), &clock);
+  obs::MetricsRegistry metrics;
+  ScoreCache cache(ScoreCacheOptions(), &clock, metrics);
   cache.Put(1, {1.0});
   cache.Put(2, {2.0});
   cache.InvalidateUser(1);
